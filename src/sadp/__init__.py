@@ -19,8 +19,8 @@ from .annealer import (
     run_classic_sa,
 )
 from .data import LabeledDataset, SamplerConfig, load_csv, load_idx, poisson_sample, split, synth_blobs, synth_linear
-from .dp_optimizer import ClipPolicy, NoisePolicy, clip, clip_batch, noisy_average, sgd_step
+from .dp_optimizer import ClipPolicy, NoisePolicy, clip, clip_batch, clipped_grad_sum, noisy_average, sgd_step
 from .harness import IterationRecord, TrainConfig, compare, emit_trace, load_config, train
-from .models import ModelSpec, evaluate, init_params, per_example_grads
+from .models import ModelSpec, evaluate, init_params, per_example_losses_grads
 
 __version__ = "0.1.0"

@@ -17,9 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-
-class NonFiniteInputError(ValueError):
-    pass
+from .errors import NonFiniteInputError
 
 
 @dataclass(frozen=True)

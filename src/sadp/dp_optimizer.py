@@ -1,20 +1,19 @@
 """Privatized gradient pipeline: per-example clipping, Gaussian noising
-of the summed gradient, and the plain SGD update."""
+of the summed gradient, and the plain SGD update.
+
+Training never materializes per-example gradients: a dense layer's gradient
+for example i is outer(h_i, delta_i), of squared norm |h_i|^2 |delta_i|^2
+(+ |delta_i|^2 for the bias), so the clipped sum is H^T (s * Delta).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-
-class NonFiniteInputError(ValueError):
-    """A gradient contained NaN or Inf."""
-
-
-class DimensionMismatchError(ValueError):
-    pass
+from . import models
+from .errors import DimensionMismatchError, NonFiniteInputError
 
 
 @dataclass(frozen=True)
@@ -51,60 +50,61 @@ class NoisePolicy:
             raise ValueError("lot_size must be >= 1")
 
 
+def _clip_scale(norms, policy: ClipPolicy):
+    """Per-example factors that bound gradients of l2 norm `norms`; an
+    overflowing (infinite) norm gets scale 0."""
+    if policy.kind == "abadi":
+        return 1.0 / np.maximum(1.0, norms / policy.clip_norm)
+    # auto_s: zero maps to zero since the scale is finite
+    return policy.clip_norm / (norms + policy.gamma)
+
+
 def clip(grad: np.ndarray, policy: ClipPolicy) -> np.ndarray:
     """Bound one per-example gradient in l2 norm."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteInputError("gradient has non-finite entries")
-    norm = float(np.linalg.norm(grad))
-    if policy.kind == "abadi":
-        return grad / max(1.0, norm / policy.clip_norm)
-    # auto_s: zero maps to zero since the scale is finite
-    return grad * (policy.clip_norm / (norm + policy.gamma))
+    return clip_batch(np.asarray(grad)[None], policy)[0]
 
 
 def clip_batch(grads: np.ndarray, policy: ClipPolicy) -> np.ndarray:
-    """clip() applied to every row of an (n, dim) gradient matrix."""
+    """Bound every row of an (n, dim) gradient matrix in l2 norm."""
     grads = np.asarray(grads, dtype=np.float64)
     if not np.all(np.isfinite(grads)):
         raise NonFiniteInputError("gradient batch has non-finite entries")
-    norms = np.linalg.norm(grads, axis=1)
-    if policy.kind == "abadi":
-        scale = 1.0 / np.maximum(1.0, norms / policy.clip_norm)
-    else:
-        scale = policy.clip_norm / (norms + policy.gamma)
-    return grads * scale[:, None]
+    return grads * _clip_scale(np.linalg.norm(grads, axis=1), policy)[:, None]
+
+
+def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
+    """Sum of a batch's clipped per-example gradients, shape (n_params,).
+
+    Equals clip_batch(models.per_example_losses_grads(...)[1]).sum(0) up to
+    float summation order; an empty batch sums to zeros.
+    """
+    _, factors = models._backprop(spec, w, X, y)
+    if not all(np.isfinite(a).all() for layer in factors for a in layer):
+        raise NonFiniteInputError("layer inputs or gradients have non-finite entries")
+    sq_norms = sum(
+        (np.einsum("ij,ij->i", h, h) + 1.0) * np.einsum("ij,ij->i", d, d) for h, d in factors
+    )
+    scale = _clip_scale(np.sqrt(sq_norms), policy)[:, None]
+    chunks = []
+    for h_in, delta in factors:
+        scaled = delta * scale
+        chunks += [(h_in.T @ scaled).ravel(), scaled.sum(axis=0)]
+    return np.concatenate(chunks)
 
 
 def noisy_average(
-    clipped_grads: Sequence[np.ndarray],
+    clipped_sum: np.ndarray,
     noise: NoisePolicy,
     clip_norm: float,
     rng: np.random.Generator,
-    dim: int | None = None,
 ) -> np.ndarray:
     """(sum of clipped gradients + N(0, sigma^2 C^2 I)) / lot_size.
 
     The divisor is the nominal lot size, not the realized batch cardinality.
-    Summation is in input order, so results are deterministic per seed.
-    `dim` is required when the batch is empty. A 2-D array is treated as
-    one gradient per row.
+    An empty batch passes a zero vector and gets pure noise.
     """
-    if isinstance(clipped_grads, np.ndarray) and clipped_grads.ndim == 2:
-        dim = clipped_grads.shape[1]
-        total = clipped_grads.sum(axis=0)
-    else:
-        if len(clipped_grads):
-            dim = len(clipped_grads[0])
-        elif dim is None:
-            raise ValueError("dim is required for an empty batch")
-        total = np.zeros(dim, dtype=np.float64)
-        for g in clipped_grads:
-            if len(g) != dim:
-                raise DimensionMismatchError("gradient dimensions disagree")
-            total += g
-    z = rng.normal(0.0, noise.sigma * clip_norm, size=dim)
-    return (total + z) / noise.lot_size
+    z = rng.normal(0.0, noise.sigma * clip_norm, size=len(clipped_sum))
+    return (clipped_sum + z) / noise.lot_size
 
 
 def sgd_step(w: np.ndarray, g_tilde: np.ndarray, eta: float) -> np.ndarray:

@@ -73,6 +73,13 @@ class TrainConfig:
                 raise InvalidConfigError(f"{name} must be > 0")
         if self.lot_size < 1 or self.mu0 < 1 or self.max_iters < 1:
             raise InvalidConfigError("lot_size, mu0 and max_iters must be >= 1")
+        if not 0.0 < self.eval_fraction < 1.0:
+            raise InvalidConfigError("eval_fraction must be in (0, 1)")
+        try:
+            models.ModelSpec(self.model, 1, 1, tuple(self.layer_widths), self.activation)
+            dp_optimizer.ClipPolicy(self.clip_kind, self.clip_norm, self.gamma)
+        except ValueError as exc:
+            raise InvalidConfigError(str(exc)) from exc
 
 
 _BOOL_FIELDS = {"clamp_tau_floor", "tight_conversion"}
@@ -190,11 +197,8 @@ def _model_spec(config: TrainConfig, train: data.LabeledDataset) -> models.Model
         if config.model != models.LINEAR_REGRESSION:
             raise InvalidConfigError("regression targets require model=linear_regression")
         return models.ModelSpec(models.LINEAR_REGRESSION, train.dim, 1)
-    n_classes = train.n_classes
-    if config.model == models.SOFTMAX_REGRESSION:
-        return models.ModelSpec(models.SOFTMAX_REGRESSION, train.dim, n_classes)
     return models.ModelSpec(
-        models.MLP, train.dim, n_classes,
+        config.model, train.dim, train.n_classes,
         layer_widths=tuple(config.layer_widths), activation=config.activation,
     )
 
@@ -264,15 +268,11 @@ def train(config: TrainConfig):
             break
 
         idx = data.poisson_sample(train_set.n, sampler, sample_rng)
-        if len(idx):
-            _, grads = models.per_example_losses_grads(
-                spec, w, train_set.features[idx], train_set.labels[idx]
-            )
-            clipped = dp_optimizer.clip_batch(grads, clip_policy)
-        else:
-            clipped = np.zeros((0, spec.n_params))
+        clipped_sum = dp_optimizer.clipped_grad_sum(
+            spec, w, train_set.features[idx], train_set.labels[idx], clip_policy
+        )
         g_tilde = dp_optimizer.noisy_average(
-            clipped, noise_policy, config.clip_norm, noise_rng, dim=spec.n_params
+            clipped_sum, noise_policy, config.clip_norm, noise_rng
         )
         w_new = dp_optimizer.sgd_step(w, g_tilde, config.eta)
 

@@ -5,8 +5,9 @@ regression and an MLP under cross-entropy. Parameters live in a single
 flat float64 vector packed layer by layer, weights before biases, which is
 what the privatized optimizer consumes.
 
-Backprop is written out by hand and vectorized over the batch, so each
-example's gradient comes out individually.
+Backprop is written out by hand and vectorized over the batch. It yields
+each layer's per-example input and output gradient, whose outer product is
+the example's weight gradient.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DimensionMismatchError
 
 CHECKPOINT_MAGIC = b"SADP"
 CHECKPOINT_VERSION = 1
@@ -25,10 +28,6 @@ MLP = "mlp"
 
 BOUNDED_TANH = "bounded_tanh"
 RECTIFIER = "rectifier"
-
-
-class DimensionMismatchError(ValueError):
-    pass
 
 
 class NonFiniteParametersError(ValueError):
@@ -57,8 +56,8 @@ class ModelSpec:
         if self.architecture == MLP:
             if not self.layer_widths or any(w < 1 for w in self.layer_widths):
                 raise ValueError("mlp needs hidden widths >= 1")
-            if self.activation not in (BOUNDED_TANH, RECTIFIER):
-                raise ValueError(f"unknown activation {self.activation!r}")
+        if self.activation not in (BOUNDED_TANH, RECTIFIER):
+            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -142,13 +141,12 @@ def _check_batch(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
     return X, y
 
 
-def per_example_losses_grads(
-    spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (n,) and gradients (n, n_params), one row per example.
+def _backprop(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """Losses (n,) and per-layer factors [(h_in, delta), ...] in packing order.
 
-    Squared-error loss is 0.5 * (pred - y)^2 for linear regression;
-    classification uses cross-entropy on softmax outputs.
+    Example i's layer gradient is outer(h_in[i], delta[i]) for the weights
+    and delta[i] for the bias. Losses are 0.5 * (pred - y)^2 for linear
+    regression and softmax cross-entropy for classification.
     """
     X, y = _check_batch(spec, X, y)
     n = len(X)
@@ -167,31 +165,25 @@ def per_example_losses_grads(
         delta = probs.copy()
         delta[np.arange(n), labels] -= 1.0           # (n, k)
 
-    grads = np.empty((n, spec.n_params))
-    # walk layers backwards, filling the flat gradient slices
-    bounds = []
-    offset = 0
-    for fan_in, fan_out in spec.layer_dims:
-        bounds.append((offset, offset + fan_in * fan_out, offset + fan_in * fan_out + fan_out))
-        offset = bounds[-1][2]
+    factors = [None] * len(layers)
     for i in reversed(range(len(layers))):
-        W, _ = layers[i]
-        h_in = acts[i]
-        w_lo, b_lo, hi = bounds[i]
-        grads[:, w_lo:b_lo] = np.einsum("ni,nj->nij", h_in, delta).reshape(n, -1)
-        grads[:, b_lo:hi] = delta
+        factors[i] = (acts[i], delta)
         if i > 0:
-            delta = (delta @ W.T) * _activate_grad(
+            delta = (delta @ layers[i][0].T) * _activate_grad(
                 acts[i], pre[i - 1], spec.activation
             )
-    return losses, grads
+    return losses, factors
 
 
-def per_example_grads(
+def per_example_losses_grads(
     spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> list[tuple[float, np.ndarray]]:
-    losses, grads = per_example_losses_grads(spec, w, X, y)
-    return [(float(l), g) for l, g in zip(losses, grads)]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Losses (n,) and gradients (n, n_params), one row per example: the
+    test oracle for dp_optimizer.clipped_grad_sum, which training uses."""
+    losses, factors = _backprop(spec, w, X, y)
+    return losses, np.hstack(
+        [np.hstack([np.einsum("ni,nj->nij", h, d).reshape(len(d), -1), d]) for h, d in factors]
+    )
 
 
 def evaluate(

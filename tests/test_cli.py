@@ -1,5 +1,7 @@
 import pathlib
 
+import pytest
+
 from sadp import cli
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -16,6 +18,20 @@ clip_norm = 0.1
 sigma = 1.0
 eps_budget = none
 max_iters = 25
+"""
+
+
+MLP_CFG = """
+method = sa_dpsgd
+model = mlp
+layer_widths = 4
+dataset = synth_blobs
+synth_n = 100
+blob_classes = 3
+blob_dim = 4
+lot_size = 20
+eps_budget = none
+max_iters = 5
 """
 
 
@@ -48,6 +64,28 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "method = teleport\n")
     assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_INVALID_CONFIG
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, override",
+    [
+        (SMALL_CFG, "clip_kind = foo"),
+        (MLP_CFG, "activation = relu"),
+        (SMALL_CFG, "eval_fraction = 0"),
+        (SMALL_CFG, "clip_kind = auto_s\ngamma = 0"),
+        (MLP_CFG, "model = foo"),
+        (MLP_CFG, "layer_widths ="),
+    ],
+    ids=["clip_kind", "activation", "eval_fraction", "auto_s_gamma", "model", "mlp_widths"],
+)
+def test_invalid_field_exits_2_without_traceback(tmp_path, capsys, base, override):
+    # later keys win, so the override replaces the base value
+    cfg = write_cfg(tmp_path, base + override + "\n")
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_infeasible_budget_exits_3(tmp_path):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sadp import annealer, errors, models
 from sadp.dp_optimizer import (
     ClipPolicy,
     DimensionMismatchError,
@@ -10,9 +13,12 @@ from sadp.dp_optimizer import (
     NonFiniteInputError,
     clip,
     clip_batch,
+    clipped_grad_sum,
     noisy_average,
     sgd_step,
 )
+from sadp.models import init_params, per_example_losses_grads
+from test_models import ALL_SPECS
 
 ABADI = ClipPolicy("abadi", clip_norm=1.0)
 AUTO_S = ClipPolicy("auto_s", clip_norm=1.0, gamma=0.01)
@@ -79,39 +85,108 @@ class TestClip:
                 np.testing.assert_allclose(row, clip(g, policy), atol=1e-15)
 
 
+def spec_id(spec):
+    return f"{spec.architecture}-{spec.activation}-{'x'.join(map(str, spec.layer_widths))}"
+
+
+def random_batch(spec, rng, n):
+    """Rows on scales from 0.01 to 30, so gradient norms spread widely."""
+    X = rng.normal(size=(n, spec.input_dim)) * rng.uniform(0.01, 30.0, size=(n, 1))
+    if spec.architecture == "linear_regression":
+        return X, rng.normal(scale=10.0, size=n)
+    return X, rng.integers(spec.output_dim, size=n)
+
+
+class TestClippedGradSum:
+    @pytest.mark.parametrize("policy", [ABADI, AUTO_S], ids=lambda p: p.kind)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+    def test_matches_materialized_oracle(self, spec, policy):
+        rng = np.random.default_rng(11)
+        w = init_params(spec, rng)
+        X, y = random_batch(spec, rng, 40)
+        grads = per_example_losses_grads(spec, w, X, y)[1]
+        # a threshold at the median norm clips half the rows and keeps half
+        policy = dataclasses.replace(
+            policy, clip_norm=float(np.median(np.linalg.norm(grads, axis=1)))
+        )
+        expected = clip_batch(grads, policy).sum(axis=0)
+        got = clipped_grad_sum(spec, w, X, y, policy)
+        assert got.shape == (spec.n_params,)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("policy", [ABADI, AUTO_S], ids=lambda p: p.kind)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+    def test_neighbouring_batches_bound_sensitivity(self, spec, policy):
+        # replace-one adjacency moves the sum by <= 2C, add/remove by <= C
+        rng = np.random.default_rng(12)
+        c = policy.clip_norm
+        for _ in range(10):
+            w = init_params(spec, rng)
+            X, y = random_batch(spec, rng, 9)
+            X_alt, y_alt = random_batch(spec, rng, 1)
+            full = clipped_grad_sum(spec, w, X, y, policy)
+            swapped_X, swapped_y = X.copy(), y.copy()
+            swapped_X[3], swapped_y[3] = X_alt[0], y_alt[0]
+            swapped = clipped_grad_sum(spec, w, swapped_X, swapped_y, policy)
+            dropped = clipped_grad_sum(
+                spec, w, np.delete(X, 3, axis=0), np.delete(y, 3), policy
+            )
+            assert np.linalg.norm(full - swapped) <= 2 * c * (1 + 1e-12)
+            assert np.linalg.norm(full - dropped) <= c * (1 + 1e-12)
+
+    def test_empty_batch_sums_to_zero(self):
+        spec = ALL_SPECS[4]
+        w = init_params(spec, np.random.default_rng(13))
+        out = clipped_grad_sum(
+            spec, w, np.zeros((0, spec.input_dim)), np.zeros(0, dtype=int), ABADI
+        )
+        np.testing.assert_array_equal(out, np.zeros(spec.n_params))
+
+    def test_rejects_non_finite_inputs_and_gradients(self):
+        spec = ALL_SPECS[0]
+        w = init_params(spec, np.random.default_rng(14))
+        X, y = np.ones((3, spec.input_dim)), np.zeros(3)
+        bad_X = X.copy()
+        bad_X[1, 0] = np.nan
+        bad_y = y.copy()
+        bad_y[2] = np.inf       # finite inputs, infinite output gradient
+        for X_, y_ in ((bad_X, y), (X, bad_y)):
+            with pytest.raises(NonFiniteInputError):
+                clipped_grad_sum(spec, w, X_, y_, ABADI)
+            # the materialized path rejects the same batches
+            with pytest.raises(NonFiniteInputError):
+                clip_batch(per_example_losses_grads(spec, w, X_, y_)[1], ABADI)
+
+
+def test_error_types_are_shared_across_modules():
+    assert NonFiniteInputError is errors.NonFiniteInputError is annealer.NonFiniteInputError
+    assert DimensionMismatchError is errors.DimensionMismatchError is models.DimensionMismatchError
+
+
 class TestNoisyAverage:
     def test_near_noiseless_average(self):
         noise = NoisePolicy(sigma=1e-12, lot_size=2)
-        grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        out = noisy_average(grads, noise, 1.0, np.random.default_rng(0))
+        out = noisy_average(np.array([1.0, 1.0]), noise, 1.0, np.random.default_rng(0))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-9)
 
     def test_empty_batch_is_pure_noise(self):
         noise = NoisePolicy(sigma=1.0, lot_size=2)
-        out = noisy_average([], noise, 1.0, np.random.default_rng(0), dim=100_000)
+        out = noisy_average(np.zeros(100_000), noise, 1.0, np.random.default_rng(0))
         assert out.std() == pytest.approx(1.0 / 2, rel=0.02)
 
     def test_noise_scale_matches_specification(self):
         # per-coordinate std must be sigma * C / B
         sigma, c, b = 2.0, 0.5, 4
         noise = NoisePolicy(sigma=sigma, lot_size=b)
-        out = noisy_average([], noise, c, np.random.default_rng(42), dim=100_000)
+        out = noisy_average(np.zeros(100_000), noise, c, np.random.default_rng(42))
         assert out.std() == pytest.approx(sigma * c / b, rel=0.02)
 
     def test_deterministic_per_seed(self):
-        grads = [np.ones(5), np.zeros(5)]
+        total = np.ones(5)
         noise = NoisePolicy(sigma=1.0, lot_size=2)
-        a = noisy_average(grads, noise, 1.0, np.random.default_rng(9))
-        b = noisy_average(grads, noise, 1.0, np.random.default_rng(9))
+        a = noisy_average(total, noise, 1.0, np.random.default_rng(9))
+        b = noisy_average(total, noise, 1.0, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
-
-    def test_matrix_input_equals_list_input(self):
-        rng = np.random.default_rng(3)
-        grads = rng.normal(size=(6, 4))
-        noise = NoisePolicy(sigma=1.0, lot_size=6)
-        a = noisy_average(grads, noise, 1.0, np.random.default_rng(5))
-        b = noisy_average(list(grads), noise, 1.0, np.random.default_rng(5))
-        np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_replacing_one_gradient_moves_sum_at_most_2c(self):
         rng = np.random.default_rng(4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sadp import models
+from sadp.dp_optimizer import ClipPolicy, clipped_grad_sum
 from sadp.models import (
     BOUNDED_TANH,
     RECTIFIER,
@@ -14,7 +15,6 @@ from sadp.models import (
     evaluate,
     init_params,
     load_checkpoint,
-    per_example_grads,
     per_example_losses_grads,
     save_checkpoint,
     unpack,
@@ -47,16 +47,18 @@ def finite_difference_grad(spec, w, x, y, step=1e-5):
 class TestPerExampleGrads:
     def test_linreg_perfect_fit_at_origin(self):
         w = np.zeros(LINREG.n_params)
-        out = per_example_grads(LINREG, w, np.array([[1.0, 2.0, 3.0]]), np.array([0.0]))
-        loss, grad = out[0]
+        losses, grads = per_example_losses_grads(
+            LINREG, w, np.array([[1.0, 2.0, 3.0]]), np.array([0.0])
+        )
+        loss, grad = losses[0], grads[0]
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros_like(w))
 
     def test_softmax_uniform_at_zero_weights(self):
         w = np.zeros(SOFTMAX2.n_params)
         x = np.array([0.5, -1.0, 2.0, 0.25])
-        out = per_example_grads(SOFTMAX2, w, x[None], np.array([1]))
-        loss, grad = out[0]
+        losses, grads = per_example_losses_grads(SOFTMAX2, w, x[None], np.array([1]))
+        loss, grad = losses[0], grads[0]
         assert loss == pytest.approx(math.log(2))
         # hand-derived: (p - onehot) outer x for weights, (p - onehot) for bias
         p = np.array([0.5, 0.5])
@@ -91,10 +93,10 @@ class TestPerExampleGrads:
         else:
             y = rng.integers(spec.output_dim, size=10)
         _, grads = per_example_losses_grads(spec, w, X, y)
-        # gradient of the mean loss via one-sided accumulation
-        mean_grad = grads.mean(axis=0)
-        per = [g for _, g in per_example_grads(spec, w, X, y)]
-        np.testing.assert_allclose(mean_grad, np.mean(per, axis=0), atol=1e-12)
+        # the row mean equals the factored batch sum with clipping disabled
+        no_clip = ClipPolicy("abadi", clip_norm=1e300)
+        mean_grad = clipped_grad_sum(spec, w, X, y, no_clip) / len(X)
+        np.testing.assert_allclose(grads.mean(axis=0), mean_grad, atol=1e-12)
 
     def test_deterministic_forward_backward(self):
         spec = ALL_SPECS[4]
