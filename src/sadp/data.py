@@ -96,7 +96,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         labels = np.frombuffer(_read_exact(f, n_labels, labels_path), dtype=np.uint8)
     if n != n_labels:
         raise CountMismatchError(f"{n} images vs {n_labels} labels")
-    features = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(n, rows * cols).astype(np.float64)
+    features /= 255.0
     return LabeledDataset(features=features, labels=labels.astype(np.int64))
 
 
@@ -139,7 +140,7 @@ def load_csv(path, classification: bool = True) -> LabeledDataset:
 
 def poisson_sample(n: int, config: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
     """Each index included independently with probability q, sorted output."""
-    mask = rng.uniform(size=n) < config.q
+    mask = rng.random(n) < config.q
     return np.flatnonzero(mask)
 
 

@@ -1,9 +1,10 @@
 """Privatized gradient pipeline: per-example clipping, Gaussian noising
 of the summed gradient, and the plain SGD update.
 
-Training never materializes per-example gradients: a dense layer's gradient
-for example i is outer(h_i, delta_i), of squared norm |h_i|^2 |delta_i|^2
-(+ |delta_i|^2 for the bias), so the clipped sum is H^T (s * Delta).
+Training never materializes per-example gradients: for a dense layer's input
+H (fan_in, n) and output gradient D (fan_out, n), example i's gradient
+outer(H[:, i], D[:, i]) has squared norm |H[:, i]|^2 |D[:, i]|^2 (+ |D[:, i]|^2
+for the bias), and the clipped sum H (D * s).T is in packed weight order.
 """
 
 from __future__ import annotations
@@ -82,13 +83,13 @@ def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
     if not all(np.isfinite(a).all() for layer in factors for a in layer):
         raise NonFiniteInputError("layer inputs or gradients have non-finite entries")
     sq_norms = sum(
-        (np.einsum("ij,ij->i", h, h) + 1.0) * np.einsum("ij,ij->i", d, d) for h, d in factors
+        (np.einsum("ij,ij->j", h, h) + 1.0) * np.einsum("ij,ij->j", d, d) for h, d in factors
     )
-    scale = _clip_scale(np.sqrt(sq_norms), policy)[:, None]
+    scale = _clip_scale(np.sqrt(sq_norms), policy)
     chunks = []
     for h_in, delta in factors:
         scaled = delta * scale
-        chunks += [(h_in.T @ scaled).ravel(), scaled.sum(axis=0)]
+        chunks += [(h_in @ scaled.T).ravel(), scaled.sum(axis=1)]
     return np.concatenate(chunks)
 
 

@@ -191,16 +191,24 @@ def _load_splits(config: TrainConfig):
     return train, held_out, test
 
 
-def _model_spec(config: TrainConfig, train: data.LabeledDataset) -> models.ModelSpec:
+def _model_spec(config: TrainConfig, train: data.LabeledDataset, *others) -> models.ModelSpec:
+    """The model for the train set; every set's class labels (None skipped)
+    must index its outputs, [0, train class count)."""
     regression = not np.issubdtype(train.labels.dtype, np.integer)
     if config.model == models.LINEAR_REGRESSION or regression:
         if config.model != models.LINEAR_REGRESSION:
             raise InvalidConfigError("regression targets require model=linear_regression")
         return models.ModelSpec(models.LINEAR_REGRESSION, train.dim, 1)
-    return models.ModelSpec(
+    spec = models.ModelSpec(
         config.model, train.dim, train.n_classes,
         layer_widths=tuple(config.layer_widths), activation=config.activation,
     )
+    for ds in (train, *others):
+        if ds is not None and np.any((ds.labels < 0) | (ds.labels >= spec.output_dim)):
+            raise InvalidConfigError(
+                f"class labels must lie in [0, {spec.output_dim}), the training set's range"
+            )
+    return spec
 
 
 def train(config: TrainConfig):
@@ -210,8 +218,8 @@ def train(config: TrainConfig):
     test and only accepted iterations are charged. With method=dpsgd every
     candidate is applied and every iteration is charged.
     """
-    train_set, eval_set, _ = _load_splits(config)
-    spec = _model_spec(config, train_set)
+    train_set, eval_set, test_set = _load_splits(config)
+    spec = _model_spec(config, train_set, eval_set, test_set)
 
     q = min(config.lot_size / train_set.n, 1.0)
     acct = accountant.AccountantState(q=q, sigma=config.sigma, delta=config.delta)

@@ -5,9 +5,9 @@ regression and an MLP under cross-entropy. Parameters live in a single
 flat float64 vector packed layer by layer, weights before biases, which is
 what the privatized optimizer consumes.
 
-Backprop is written out by hand and vectorized over the batch. It yields
-each layer's per-example input and output gradient, whose outer product is
-the example's weight gradient.
+Activations are feature-major, (width, n): softmax reductions run across
+classes, vectorized over examples. Backprop yields each layer's input and
+output gradient; the outer product of their i-th columns is example i's.
 """
 
 from __future__ import annotations
@@ -101,77 +101,66 @@ def unpack(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]
     return layers
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(z) if kind == BOUNDED_TANH else np.maximum(z, 0.0)
-
-
-def _activate_grad(a: np.ndarray, z: np.ndarray, kind: str) -> np.ndarray:
-    return 1.0 - a * a if kind == BOUNDED_TANH else (z > 0).astype(np.float64)
-
-
 def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
-    """Returns (outputs, cache) with batched intermediates for backprop."""
+    """(outputs (k, n), layers, layer inputs [(fan_in, n), ...]); the first
+    input is X.T, a view of the row-major batch, and later ones are computed
+    as W.T @ h with the bias add and the activation done in place."""
     layers = unpack(spec, w)
-    acts = [X]
-    pre = []
-    h = X
+    h, inputs = X.T, []
     for i, (W, b) in enumerate(layers):
-        z = h @ W + b
-        pre.append(z)
-        h = _activate(z, spec.activation) if i < len(layers) - 1 else z
-        acts.append(h)
-    return h, (layers, acts, pre)
+        inputs.append(h)
+        h = W.T @ h
+        h += b[:, None]
+        if i < len(layers) - 1 and spec.activation == BOUNDED_TANH:
+            np.tanh(h, out=h)
+        elif i < len(layers) - 1:
+            np.maximum(h, 0.0, out=h)
+    return h, layers, inputs
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Softmax cross-entropy per example (n,) and class probabilities (k, n)
+    of (k, n) logits; max and sum run across classes, vectorized over n."""
+    probs = logits - logits.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0)
+    return -np.log(np.clip(probs[labels, np.arange(len(labels))], 1e-300, None)), probs
 
 
 def _check_batch(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
-    X = np.asarray(X, dtype=np.float64)
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise DimensionMismatchError(
-            f"features must be (n, {spec.input_dim}), got {X.shape}"
-        )
-    y = np.asarray(y)
+        raise DimensionMismatchError(f"features must be (n, {spec.input_dim}), got {X.shape}")
     if len(y) != len(X):
         raise DimensionMismatchError("feature/target row counts differ")
     return X, y
 
 
 def _backprop(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Losses (n,) and per-layer factors [(h_in, delta), ...] in packing order.
-
-    Example i's layer gradient is outer(h_in[i], delta[i]) for the weights
-    and delta[i] for the bias. Losses are 0.5 * (pred - y)^2 for linear
-    regression and softmax cross-entropy for classification.
+    """Losses (n,) and per-layer factors [(h_in (fan_in, n), delta (fan_out, n)), ...]
+    in packing order: example i's weight gradient is outer(h_in[:, i],
+    delta[:, i]) and its bias gradient delta[:, i]. Losses are 0.5 * (pred -
+    y)^2 for linear regression and softmax cross-entropy for classification.
     """
     X, y = _check_batch(spec, X, y)
-    n = len(X)
-    out, (layers, acts, pre) = _forward(spec, w, X)
+    out, layers, inputs = _forward(spec, w, X)
 
     if spec.architecture == LINEAR_REGRESSION:
-        resid = out[:, 0] - np.asarray(y, dtype=np.float64)
-        losses = 0.5 * resid**2
-        delta = resid[:, None]                       # dL/d(out), (n, 1)
+        delta = out - np.asarray(y, dtype=np.float64)   # dL/d(out), (1, n)
+        losses = 0.5 * delta[0] ** 2
     else:
         labels = np.asarray(y, dtype=np.intp)
-        probs = _softmax(out)
-        losses = -np.log(
-            np.clip(probs[np.arange(n), labels], 1e-300, None)
-        )
-        delta = probs.copy()
-        delta[np.arange(n), labels] -= 1.0           # (n, k)
+        losses, delta = _cross_entropy(out, labels)
+        delta[labels, np.arange(len(labels))] -= 1.0    # (k, n)
 
     factors = [None] * len(layers)
     for i in reversed(range(len(layers))):
-        factors[i] = (acts[i], delta)
+        a = inputs[i]
+        factors[i] = (a, delta)
         if i > 0:
-            delta = (delta @ layers[i][0].T) * _activate_grad(
-                acts[i], pre[i - 1], spec.activation
-            )
+            # both activation derivatives are functions of the output a
+            delta = layers[i][0] @ delta
+            delta *= 1.0 - a * a if spec.activation == BOUNDED_TANH else a > 0
     return losses, factors
 
 
@@ -182,7 +171,7 @@ def per_example_losses_grads(
     test oracle for dp_optimizer.clipped_grad_sum, which training uses."""
     losses, factors = _backprop(spec, w, X, y)
     return losses, np.hstack(
-        [np.hstack([np.einsum("ni,nj->nij", h, d).reshape(len(d), -1), d]) for h, d in factors]
+        [np.hstack([np.einsum("in,jn->nij", h, d).reshape(len(losses), -1), d.T]) for h, d in factors]
     )
 
 
@@ -193,16 +182,16 @@ def evaluate(
     X, y = _check_batch(spec, X, y)
     if len(X) == 0:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
-    out, _ = _forward(spec, w, X)
+    out, _, _ = _forward(spec, w, X)
     if spec.architecture == LINEAR_REGRESSION:
-        loss = float(np.mean(0.5 * (out[:, 0] - np.asarray(y, dtype=np.float64)) ** 2))
-        return loss, None
+        return float(np.mean(0.5 * (out[0] - np.asarray(y, dtype=np.float64)) ** 2)), None
     labels = np.asarray(y, dtype=np.intp)
-    probs = _softmax(out)
-    n = len(X)
-    loss = float(np.mean(-np.log(np.clip(probs[np.arange(n), labels], 1e-300, None))))
-    acc = float(np.mean(out.argmax(axis=1) == labels))
-    return loss, acc
+    losses, _ = _cross_entropy(out, labels)
+    # argmax(axis=0) is slow; ranking maximal classes k..1 keeps its lowest-index tie rule
+    k = len(out)
+    ranks = (out == out.max(axis=0)) * np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    acc = np.count_nonzero(ranks.max(axis=0) == k - labels) / len(labels)
+    return float(np.mean(losses)), float(acc)
 
 
 def save_checkpoint(path, w: np.ndarray) -> None:

@@ -1,8 +1,10 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from sadp import cli
+from sadp.data import LabeledDataset, save_idx
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
@@ -86,6 +88,50 @@ def test_invalid_field_exits_2_without_traceback(tmp_path, capsys, base, overrid
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+LABELED_CFG = """
+method = sa_dpsgd
+model = softmax_regression
+lot_size = 10
+eps_budget = none
+max_iters = 3
+"""
+
+
+def assert_exits_2_without_traceback(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "labels" in err
+    assert "Traceback" not in err
+
+
+def test_negative_csv_label_exits_2(tmp_path, capsys):
+    rows = [f"{i % 3}.0,{(i * 7) % 5}.0,{-1 if i == 12 else i % 3}" for i in range(40)]
+    (tmp_path / "data.csv").write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, LABELED_CFG + f"dataset = csv\ncsv_path = {tmp_path / 'data.csv'}\n")
+    assert_exits_2_without_traceback(
+        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+
+
+def test_test_label_beyond_train_classes_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    paths = {}
+    for part, classes in (("train", 3), ("test", 4)):
+        ds = LabeledDataset(rng.uniform(size=(30, 4)), np.arange(30) % classes)
+        paths[part] = (tmp_path / f"{part}-images", tmp_path / f"{part}-labels")
+        save_idx(ds, *paths[part], rows=2, cols=2)
+    cfg = write_cfg(
+        tmp_path,
+        LABELED_CFG
+        + "dataset = idx\neval_set = test\n"
+        + f"idx_train_images = {paths['train'][0]}\nidx_train_labels = {paths['train'][1]}\n"
+        + f"idx_test_images = {paths['test'][0]}\nidx_test_labels = {paths['test'][1]}\n",
+    )
+    assert_exits_2_without_traceback(
+        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
 
 
 def test_infeasible_budget_exits_3(tmp_path):

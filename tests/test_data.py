@@ -116,6 +116,14 @@ class TestPoissonSample:
         off_diag = corr[~np.eye(n, dtype=bool)]
         assert np.max(np.abs(off_diag)) < 4 / np.sqrt(draws)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_mask_matches_uniform_threshold(self, seed):
+        # the stream must equal uniform(size=n) < q draw for draw
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n, q in ((0, 0.5), (1, 0.5), (17, 0.3), (1000, 0.05), (16000, 0.004)):
+            idx = poisson_sample(n, SamplerConfig(q=q), rng)
+            np.testing.assert_array_equal(idx, np.flatnonzero(ref.uniform(size=n) < q))
+
 
 class TestSynthLinear:
     def test_noiseless_targets_exact(self):

@@ -131,8 +131,9 @@ class TestActivations:
             spec = ModelSpec("mlp", 5, 3, layer_widths=(16,), activation=activation)
             w = init_params(spec, rng)
             X = rng.normal(size=(20, 5))
-            _, (_, acts, _) = models._forward(spec, w, X)
-            assert check(acts[1])
+            _, _, inputs = models._forward(spec, w, X)
+            assert inputs[1].shape == (16, 20)
+            assert check(inputs[1])
 
 
 class TestEvaluate:
@@ -174,6 +175,40 @@ class TestEvaluate:
             ModelSpec("linear_regression", 2, 1), w_star, ds.features, ds.labels
         )
         assert loss == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.architecture}-{s.activation}")
+    def test_loss_is_mean_of_oracle_losses(self, spec):
+        rng = np.random.default_rng(9)
+        w = init_params(spec, rng) + rng.normal(scale=0.3, size=spec.n_params)
+        X = rng.normal(size=(50, spec.input_dim))
+        if spec.architecture == "linear_regression":
+            y = rng.normal(size=50)
+        else:
+            y = rng.integers(spec.output_dim, size=50)
+        loss, _ = evaluate(spec, w, X, y)
+        losses, _ = per_example_losses_grads(spec, w, X, y)
+        assert loss == pytest.approx(losses.mean(), rel=1e-12, abs=0)
+
+    def test_tied_logits_predict_first_class(self):
+        # zero weights tie every class, and ties go to the lowest index
+        spec = ModelSpec("mlp", 3, 4, layer_widths=(5,))
+        y = np.array([0, 1, 2, 3, 0, 3, 0, 2])
+        loss, acc = evaluate(spec, np.zeros(spec.n_params), np.ones((8, 3)), y)
+        assert acc == 3 / 8
+        # plain floats, so trace rows print as numbers
+        assert type(loss) is float and type(acc) is float
+
+    def test_memory_layout_of_features_does_not_matter(self):
+        spec = ALL_SPECS[5]
+        rng = np.random.default_rng(10)
+        w = init_params(spec, rng)
+        wide = rng.normal(size=(60, 2 * spec.input_dim))
+        y = rng.integers(spec.output_dim, size=30)
+        X = np.ascontiguousarray(wide[::2, : spec.input_dim])
+        variants = [X, np.asfortranarray(X), wide[::2, : spec.input_dim]]
+        assert not variants[2].flags.c_contiguous and not variants[2].flags.f_contiguous
+        results = [evaluate(spec, w, V, y) for V in variants]
+        assert results[1] == results[0] and results[2] == results[0]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
