@@ -3,7 +3,6 @@
 from .accountant import (
     AccountantState,
     PrivacySpend,
-    compose,
     max_steps_within,
     rdp_per_step,
     rdp_to_dp,
@@ -16,10 +15,9 @@ from .annealer import (
     acceptance_probability,
     advance,
     decide,
-    run_classic_sa,
 )
 from .data import LabeledDataset, SamplerConfig, load_csv, load_idx, poisson_sample, split, synth_blobs, synth_linear
-from .dp_optimizer import ClipPolicy, NoisePolicy, clip, clip_batch, clipped_grad_sum, noisy_average, sgd_step
+from .dp_optimizer import ClipPolicy, NoisePolicy, clip_batch, clipped_grad_sum, noisy_average, sgd_step
 from .harness import IterationRecord, TrainConfig, compare, emit_trace, load_config, train
 from .models import ModelSpec, evaluate, init_params, per_example_losses_grads
 

@@ -1,36 +1,69 @@
 """Renyi-DP accountant for the subsampled Gaussian mechanism.
 
-Per-step cost is computed from the integer-order moment sum of the
-subsampled Gaussian, composed linearly over charged iterations, and
-converted to (epsilon, delta)-DP by minimizing over a grid of integer
-orders.
+One curve holds the per-step RDP cost at every integer order of the grid,
+from the moment sum of the subsampled Gaussian. Charged iterations compose
+linearly, so after tau steps epsilon = min over orders of
+conv(tau * rdp_alpha, delta), where conv is one of the two RDP-to-DP
+conversions. Each conversion adds an order-dependent tail, so the budget
+inverts in closed form, order by order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .errors import BudgetInfeasibleError, InvalidParameterError
+
 DEFAULT_ALPHA_GRID = tuple(range(2, 65))
-
-
-class InvalidParameterError(ValueError):
-    """A privacy parameter is outside its valid range."""
-
-
-class BudgetInfeasibleError(ValueError):
-    """The epsilon budget is below the zero-iteration floor."""
 
 
 def _check_q_sigma(q: float, sigma: float) -> None:
     if not 0.0 <= q <= 1.0:
         raise InvalidParameterError(f"sampling rate q={q} must be in [0, 1]")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise InvalidParameterError(f"noise multiplier sigma={sigma} must be > 0")
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise InvalidParameterError(f"delta={delta} must be in (0, 1)")
+
+
+def _rdp_curve(q: float, sigma: float, alphas: Sequence[int]) -> np.ndarray:
+    """Per-step RDP epsilon of the subsampled Gaussian at each integer order.
+
+    Evaluates, for every alpha at once, the log of the moment sum
+
+        sum_{k=0}^{alpha} C(alpha,k) (1-q)^(alpha-k) q^k exp((k^2-k)/(2 sigma^2))
+
+    as one log-sum-exp down the k axis of a (max alpha + 1, len(alphas))
+    array whose entries with k > alpha are -inf. Working in the log domain
+    (log-gamma binomials) keeps the result finite for large alpha and small
+    sigma.
+    """
+    alpha = np.asarray(alphas, dtype=np.float64)
+    if q == 0.0:
+        return np.zeros_like(alpha)
+    k = np.arange(alpha.max() + 1)[:, None]
+    log_q = math.log(q) if q < 1.0 else 0.0
+    log_1mq = math.log1p(-q) if q < 1.0 else -math.inf
+    # 0 * -inf would poison the k=alpha (resp. k=0) term, and k > alpha has
+    # no term at all; mask all three explicitly
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = (
+            gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
+            + np.where(k == alpha, 0.0, (alpha - k) * log_1mq)
+            + np.where(k == 0, 0.0, k * log_q)
+            + (k * k - k) / (2.0 * sigma * sigma)
+        )
+    log_a = logsumexp(np.where(k <= alpha, terms, -np.inf), axis=0)
+    return np.maximum(log_a / (alpha - 1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -47,8 +80,7 @@ class AccountantState:
         _check_q_sigma(self.q, self.sigma)
         if self.q == 0.0:
             raise InvalidParameterError("sampling rate q must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidParameterError(f"delta={self.delta} must be in (0, 1)")
+        _check_delta(self.delta)
         if self.tau < 0:
             raise InvalidParameterError(f"tau={self.tau} must be >= 0")
         if not self.alpha_grid or any(
@@ -56,8 +88,35 @@ class AccountantState:
         ):
             raise InvalidParameterError("alpha grid must be integers >= 2")
 
+    @cached_property
+    def alphas(self) -> np.ndarray:
+        """alpha_grid as a read-only float array."""
+        alphas = np.array(self.alpha_grid, dtype=np.float64)
+        alphas.flags.writeable = False
+        return alphas
+
+    @cached_property
+    def rdp(self) -> np.ndarray:
+        """Per-step RDP at each order of alpha_grid, built once per state."""
+        curve = _rdp_curve(self.q, self.sigma, self.alphas)
+        curve.flags.writeable = False
+        return curve
+
     def with_tau(self, tau: int) -> "AccountantState":
-        return AccountantState(self.q, self.sigma, self.delta, tau, self.alpha_grid)
+        moved = replace(self, tau=tau)
+        # same q, sigma and grid, so the same curve
+        vars(moved).update(alphas=self.alphas, rdp=self.rdp)
+        return moved
+
+    def epsilons(self, tau, tight_conversion: bool = False) -> np.ndarray:
+        """(epsilon, delta)-DP epsilon at each order after tau charged steps;
+        tau is one count or one count per order."""
+        convert = rdp_to_dp_tight if tight_conversion else rdp_to_dp
+        return convert(self.alphas, tau * self.rdp, self.delta)
+
+    def epsilon(self, tau, tight_conversion: bool = False) -> float:
+        """epsilon after tau charged steps: the min over orders."""
+        return float(self.epsilons(tau, tight_conversion).min())
 
 
 @dataclass(frozen=True)
@@ -68,83 +127,54 @@ class PrivacySpend:
 
 
 def rdp_per_step(q: float, sigma: float, alpha: int) -> float:
-    """Per-step RDP epsilon of the subsampled Gaussian at integer order alpha.
-
-    Evaluates log of the moment sum
-
-        sum_{k=0}^{alpha} C(alpha,k) (1-q)^(alpha-k) q^k exp((k^2-k)/(2 sigma^2))
-
-    entirely in the log domain (log-gamma binomials + log-sum-exp), so the
-    result stays finite for large alpha and small sigma.
-    """
+    """Per-step RDP epsilon of the subsampled Gaussian at integer order alpha,
+    read from the curve over the default grid (or over alpha alone, off it)."""
     _check_q_sigma(q, sigma)
     if alpha < 2 or alpha != int(alpha):
         raise InvalidParameterError(f"alpha={alpha} must be an integer >= 2")
-    alpha = int(alpha)
-    if q == 0.0:
-        return 0.0
-
-    k = np.arange(alpha + 1)
-    log_binom = gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
-    log_q = math.log(q) if q < 1.0 else 0.0
-    log_1mq = math.log1p(-q) if q < 1.0 else -math.inf
-    # 0 * -inf would poison the k=alpha (resp. k=0) term; mask explicitly
-    with np.errstate(invalid="ignore"):
-        terms = (
-            log_binom
-            + np.where(k == alpha, 0.0, (alpha - k) * log_1mq)
-            + np.where(k == 0, 0.0, k * log_q)
-            + (k * k - k) / (2.0 * sigma * sigma)
-        )
-    log_a = float(logsumexp(terms))
-    return max(log_a / (alpha - 1), 0.0)
+    grid = DEFAULT_ALPHA_GRID if alpha in DEFAULT_ALPHA_GRID else (int(alpha),)
+    return float(_rdp_curve(q, sigma, grid)[grid.index(alpha)])
 
 
-def compose(per_step_rdp: float, tau: int) -> float:
-    """RDP composes additively: tau identical steps cost tau times one."""
-    if per_step_rdp < 0 or tau < 0:
-        raise InvalidParameterError("per-step RDP and tau must be nonnegative")
-    return tau * per_step_rdp
+def _tail(alpha, delta: float, tight: bool):
+    """What a conversion adds to the RDP epsilon at each order, before the
+    tight conversion's clamp at 0."""
+    _check_delta(delta)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if tight:
+        return np.log((alpha - 1) / alpha) - (math.log(delta) + np.log(alpha)) / (alpha - 1)
+    return math.log(1.0 / delta) / (alpha - 1)
 
 
-def rdp_to_dp(alpha: int, rdp_eps: float, delta: float) -> float:
-    """Standard conversion: eps_DP = eps_RDP + log(1/delta)/(alpha-1)."""
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta={delta} must be in (0, 1)")
-    return rdp_eps + math.log(1.0 / delta) / (alpha - 1)
+def rdp_to_dp(alpha, rdp_eps, delta: float):
+    """Standard conversion: eps_DP = eps_RDP + log(1/delta)/(alpha-1).
+
+    Elementwise over arrays of orders and RDP epsilons.
+    """
+    return rdp_eps + _tail(alpha, delta, tight=False)
 
 
-def rdp_to_dp_tight(alpha: int, rdp_eps: float, delta: float) -> float:
-    """Tighter conversion, clamped below at 0.
+def rdp_to_dp_tight(alpha, rdp_eps, delta: float):
+    """Tighter conversion, eps_RDP + log((alpha-1)/alpha) - (log delta +
+    log alpha)/(alpha-1), clamped below at 0; elementwise like rdp_to_dp.
 
     Off by default in the training configs; the standard conversion is what
     published accuracy/budget tables assume.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta={delta} must be in (0, 1)")
-    eps = (
-        rdp_eps
-        + math.log((alpha - 1) / alpha)
-        - (math.log(delta) + math.log(alpha)) / (alpha - 1)
-    )
-    return max(eps, 0.0)
+    return np.maximum(rdp_eps + _tail(alpha, delta, tight=True), 0.0)
 
 
 def spend(state: AccountantState, tight_conversion: bool = False) -> PrivacySpend:
     """Total (epsilon, delta) after state.tau charged iterations.
 
-    Minimizes over the order grid; ties break toward the smallest order.
+    Minimizes over the order grid; ties break toward the first order.
     """
-    convert = rdp_to_dp_tight if tight_conversion else rdp_to_dp
-    best_eps = math.inf
-    best_alpha = None
-    for alpha in state.alpha_grid:
-        total = compose(rdp_per_step(state.q, state.sigma, alpha), state.tau)
-        eps = convert(alpha, total, state.delta)
-        if eps < best_eps:
-            best_eps = eps
-            best_alpha = alpha
-    return PrivacySpend(epsilon=best_eps, delta=state.delta, best_alpha=best_alpha)
+    eps = state.epsilons(state.tau, tight_conversion)
+    best = int(np.argmin(eps))
+    return PrivacySpend(
+        epsilon=float(eps[best]), delta=state.delta,
+        best_alpha=int(state.alpha_grid[best]),
+    )
 
 
 def max_steps_within(
@@ -152,25 +182,30 @@ def max_steps_within(
 ) -> int:
     """Largest tau whose spend stays within eps_budget.
 
-    Exponential growth then bisection; valid because spend is nondecreasing
-    in tau.
+    At each order epsilon is tau * rdp_alpha plus the conversion's tail, so
+    the last tau within a budget of at least epsilon(1) >= 0 is
+    floor((budget - tail_alpha) / rdp_alpha); spend is a min over orders,
+    so tau* is the max of those. Each floor is moved at most one step to
+    agree with spend's own rounding.
     """
-
-    def eps(tau: int) -> float:
-        return spend(state.with_tau(tau), tight_conversion).epsilon
-
-    if eps(0) > eps_budget:
+    if not math.isfinite(eps_budget):
+        raise InvalidParameterError(f"eps_budget={eps_budget} must be finite")
+    eps_one = state.epsilon(1, tight_conversion)
+    if eps_one > eps_budget:
         raise BudgetInfeasibleError(
-            f"budget {eps_budget} is below the tau=0 floor {eps(0)}"
+            f"budget {eps_budget} does not cover a single charged iteration "
+            f"(epsilon {eps_one:.6g} at q={state.q:.6g}, sigma={state.sigma})"
         )
-    hi = 1
-    while eps(hi) <= eps_budget:
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps(mid) <= eps_budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    rdp = state.rdp
+    tail = _tail(state.alphas, state.delta, tight_conversion)
+    if np.any((rdp == 0.0) & (tail <= eps_budget)):
+        raise InvalidParameterError(
+            f"the per-step cost at q={state.q:.6g}, sigma={state.sigma} is 0, "
+            f"so budget {eps_budget} never binds"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.floor(np.where(rdp > 0.0, (eps_budget - tail) / rdp, 0.0))
+    steps = np.maximum(steps, 0.0)
+    steps -= state.epsilons(steps, tight_conversion) > eps_budget
+    steps += state.epsilons(steps + 1, tight_conversion) <= eps_budget
+    return int(steps.max())

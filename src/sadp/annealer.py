@@ -4,16 +4,12 @@ The screening loop accepts an update with probability 1 when the evaluation
 loss improves, and with probability exp(-delta_e * Q) otherwise, where the
 temperature Q grows with the number of accepted updates. A cap on
 consecutive rejections forces an acceptance before the chain can stall.
-
-A classic geometric-cooling annealer over black-box objectives is included
-as a reference loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -116,37 +112,3 @@ def advance(
         Q=state.Q0 * effective_tau, energy=energy,
     )
 
-
-def run_classic_sa(
-    objective: Callable[[float], float],
-    neighbor: Callable[[object, np.random.Generator], object],
-    x0,
-    T0: float,
-    cool: float,
-    n: int,
-    rng: np.random.Generator,
-):
-    """Reference geometric-cooling annealer.
-
-    Acceptance test is random(0,1) < exp(-delta_f / T) for every move, so
-    improving moves (delta_f <= 0) are always taken. T is multiplied by
-    `cool` each iteration.
-    """
-    if T0 <= 0:
-        raise ValueError("T0 must be > 0")
-    if not 0.0 < cool < 1.0:
-        raise ValueError("cool must be in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = x0
-    f_s = objective(s)
-    T = T0
-    for _ in range(n):
-        cand = neighbor(s, rng)
-        delta_f = objective(cand) - f_s
-        prob = math.exp(min(-delta_f / T, 50.0))
-        if rng.uniform() < prob:
-            s = cand
-            f_s = objective(s)
-        T = cool * T
-    return s

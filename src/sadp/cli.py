@@ -5,7 +5,8 @@ Subcommands:
   compare  --configs <paths...> --seeds <list> --out <dir>
   privacy  --q Q --sigma S --delta D --tau N
 
-Exit codes: 0 success, 2 invalid config, 3 budget infeasible, 4 I/O error.
+Exit codes: 0 success, 2 invalid config, 3 budget infeasible, 4 I/O error
+or malformed data file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import sys
 from pathlib import Path
 
 from . import accountant, harness, models
+from .errors import (
+    BudgetInfeasibleError, DataFileError, InvalidConfigError, InvalidParameterError,
+)
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 2
@@ -113,13 +117,13 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_privacy(args)
-    except (harness.InvalidConfigError, accountant.InvalidParameterError) as exc:
+    except (InvalidConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-    except accountant.BudgetInfeasibleError as exc:
+    except BudgetInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET_INFEASIBLE
-    except OSError as exc:
+    except (OSError, DataFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
 

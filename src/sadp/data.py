@@ -13,20 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadMagicError, CountMismatchError, DataFileError, TruncatedFileError
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-
-class BadMagicError(ValueError):
-    pass
-
-
-class TruncatedFileError(ValueError):
-    pass
-
-
-class CountMismatchError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -129,11 +119,15 @@ def load_csv(path, classification: bool = True) -> LabeledDataset:
                 rows.append([float(v) for v in record])
             except ValueError:
                 if rows:
-                    raise
+                    raise DataFileError(f"{path}: non-numeric row {record}") from None
                 # header row
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise DataFileError(f"{path}: no data rows")
+    if len({len(r) for r in rows}) != 1:
+        raise DataFileError(f"{path}: rows differ in length")
     table = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(table)):
+        raise DataFileError(f"{path}: non-finite value")
     labels = table[:, -1].astype(np.int64) if classification else table[:, -1]
     return LabeledDataset(features=table[:, :-1], labels=labels)
 

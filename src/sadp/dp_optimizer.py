@@ -60,11 +60,6 @@ def _clip_scale(norms, policy: ClipPolicy):
     return policy.clip_norm / (norms + policy.gamma)
 
 
-def clip(grad: np.ndarray, policy: ClipPolicy) -> np.ndarray:
-    """Bound one per-example gradient in l2 norm."""
-    return clip_batch(np.asarray(grad)[None], policy)[0]
-
-
 def clip_batch(grads: np.ndarray, policy: ClipPolicy) -> np.ndarray:
     """Bound every row of an (n, dim) gradient matrix in l2 norm."""
     grads = np.asarray(grads, dtype=np.float64)

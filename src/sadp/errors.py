@@ -1,4 +1,4 @@
-"""Exception types raised by more than one sadp module."""
+"""Exception types shared across sadp modules; `cli.main` maps them to exit codes."""
 
 
 class NonFiniteInputError(ValueError):
@@ -7,3 +7,31 @@ class NonFiniteInputError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Array shapes or lengths disagree."""
+
+
+class InvalidConfigError(ValueError):
+    """A training config key or value is invalid (exit 2)."""
+
+
+class InvalidParameterError(ValueError):
+    """A privacy parameter is outside its valid range (exit 2)."""
+
+
+class BudgetInfeasibleError(ValueError):
+    """The epsilon budget does not cover a single charged iteration (exit 3)."""
+
+
+class DataFileError(ValueError):
+    """A data file is malformed (exit 4)."""
+
+
+class BadMagicError(DataFileError):
+    """An IDX file starts with the wrong magic number."""
+
+
+class TruncatedFileError(DataFileError):
+    """An IDX file ends before the sizes in its header say it should."""
+
+
+class CountMismatchError(DataFileError):
+    """Feature rows and labels differ in number."""

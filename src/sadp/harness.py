@@ -11,18 +11,16 @@ import dataclasses
 import json
 import math
 import statistics
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import accountant, annealer, data, dp_optimizer, models
+from .errors import InvalidConfigError
 
 EPS_SENTINEL_ITERS = 10_000_000
-
-
-class InvalidConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -30,7 +28,7 @@ class TrainConfig:
     method: str = "sa_dpsgd"                 # sa_dpsgd | dpsgd
     model: str = models.SOFTMAX_REGRESSION
     activation: str = models.BOUNDED_TANH
-    layer_widths: tuple = ()
+    layer_widths: tuple[int, ...] = ()
     clip_kind: str = "abadi"
     clip_norm: float = 0.1
     gamma: float = 0.01
@@ -55,13 +53,20 @@ class TrainConfig:
     csv_path: str = ""
     train_limit: int = 0                     # 0 = use everything
     synth_n: int = 1000
-    synth_weights: tuple = (2.0, -3.0)
+    synth_weights: tuple[float, ...] = (2.0, -3.0)
     synth_noise_std: float = 0.1
     synth_seed: int = 0
     blob_classes: int = 10
     blob_dim: int = 784
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if any(
+                isinstance(v, float) and not math.isfinite(v)
+                for v in (value if isinstance(value, tuple) else (value,))
+            ):
+                raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
         if self.method not in ("dpsgd", "sa_dpsgd"):
             raise InvalidConfigError(f"unknown method {self.method!r}")
         if self.eval_set not in ("held_out", "test"):
@@ -82,20 +87,23 @@ class TrainConfig:
             raise InvalidConfigError(str(exc)) from exc
 
 
-_BOOL_FIELDS = {"clamp_tau_floor", "tight_conversion"}
-_INT_FIELDS = {
-    "lot_size", "max_iters", "mu0", "seed", "train_limit",
-    "synth_n", "synth_seed", "blob_classes", "blob_dim",
-}
-_FLOAT_FIELDS = {
-    "clip_norm", "gamma", "eta", "sigma", "q0", "delta",
-    "eps_budget", "eval_fraction", "synth_noise_std",
-}
-_TUPLE_FIELDS = {"layer_widths": int, "synth_weights": float}
+def _parse_value(hint, text: str):
+    """One config value of the annotated type; only `T | None` takes none."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        return None if text.lower() == "none" else _parse_value(inner, text)
+    if typing.get_origin(hint) is tuple:
+        return tuple(args[0](v) for v in text.split(",") if v.strip())
+    if hint is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(text)
+        return text.lower() == "true"
+    return hint(text)
 
 
 def parse_config_text(text: str) -> TrainConfig:
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
+    hints = typing.get_type_hints(TrainConfig)
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,22 +112,10 @@ def parse_config_text(text: str) -> TrainConfig:
         if "=" not in line:
             raise InvalidConfigError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in hints:
             raise InvalidConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _BOOL_FIELDS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(value)
-                kwargs[key] = value.lower() == "true"
-            elif key in _INT_FIELDS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                kwargs[key] = None if value.lower() == "none" else float(value)
-            elif key in _TUPLE_FIELDS:
-                conv = _TUPLE_FIELDS[key]
-                kwargs[key] = tuple(conv(v) for v in value.split(",") if v.strip())
-            else:
-                kwargs[key] = value
+            kwargs[key] = _parse_value(hints[key], value)
         except ValueError as exc:
             raise InvalidConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     try:
@@ -223,36 +219,11 @@ def train(config: TrainConfig):
 
     q = min(config.lot_size / train_set.n, 1.0)
     acct = accountant.AccountantState(q=q, sigma=config.sigma, delta=config.delta)
-    # per-order per-step costs are fixed; cache them so per-iteration spend
-    # is a vector min rather than a full recomputation
-    alphas = np.asarray(acct.alpha_grid, dtype=np.float64)
-    per_step = np.asarray(
-        [accountant.rdp_per_step(q, config.sigma, int(a)) for a in alphas]
-    )
-    if config.tight_conversion:
-        tails = (
-            np.log((alphas - 1) / alphas)
-            - (math.log(config.delta) + np.log(alphas)) / (alphas - 1)
-        )
-    else:
-        tails = math.log(1.0 / config.delta) / (alphas - 1)
-
-    def eps_at(tau: int) -> float:
-        eps = tau * per_step + tails
-        if config.tight_conversion:
-            eps = np.maximum(eps, 0.0)
-        return float(eps.min())
-
     max_charged = None
     if config.eps_budget is not None:
         max_charged = accountant.max_steps_within(
             acct, config.eps_budget, config.tight_conversion
         )
-        if max_charged == 0:
-            raise accountant.BudgetInfeasibleError(
-                f"budget {config.eps_budget} does not cover a single "
-                f"charged iteration at q={acct.q:.6g}, sigma={acct.sigma}"
-            )
 
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     init_rng, sample_rng, noise_rng, decide_rng = (
@@ -311,7 +282,7 @@ def train(config: TrainConfig):
                 forced=decision.forced,
                 eval_loss=state.energy,
                 eval_accuracy=math.nan if cur_acc is None else cur_acc,
-                epsilon_so_far=eps_at(charged),
+                epsilon_so_far=acct.epsilon(charged, config.tight_conversion),
             )
         )
 
@@ -323,10 +294,10 @@ def train(config: TrainConfig):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from sadp import data
 from sadp.accountant import AccountantState, max_steps_within, rdp_per_step, spend
 from sadp.annealer import AnnealerState, advance, decide
-from sadp.dp_optimizer import ClipPolicy, clip
+from sadp.dp_optimizer import ClipPolicy, clip_batch
 from sadp.harness import TrainConfig, emit_trace, train
 from sadp.models import init_params, per_example_losses_grads
 
@@ -81,12 +81,12 @@ def test_04_clipping_properties():
         dim = int(rng.integers(1, 10_001))
         g = rng.normal(scale=rng.uniform(0.01, 5.0), size=dim)
         norm = np.linalg.norm(g)
-        clipped = clip(g, abadi)
+        clipped = clip_batch(g[None], abadi)[0]
         assert np.linalg.norm(clipped) <= c * (1 + 1e-12)
         if norm <= c:
             np.testing.assert_array_equal(clipped, g)
         expected = c * norm / (norm + gamma)
-        assert abs(np.linalg.norm(clip(g, auto_s)) - expected) <= 1e-12
+        assert abs(np.linalg.norm(clip_batch(g[None], auto_s)[0]) - expected) <= 1e-12
     report(4, time.perf_counter() - start, 5.0, "1000 vectors per policy, dims 1..10^4")
 
 

@@ -1,13 +1,18 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sadp.accountant import (
+    DEFAULT_ALPHA_GRID,
     AccountantState,
     BudgetInfeasibleError,
     InvalidParameterError,
-    compose,
     max_steps_within,
     rdp_per_step,
     rdp_to_dp,
@@ -67,22 +72,16 @@ class TestRdpPerStep:
             rdp_per_step(q, sigma, alpha)
 
 
-class TestCompose:
-    def test_zero_iterations(self):
-        assert compose(0.01, 0) == 0.0
-
-    def test_linearity(self):
-        assert compose(0.01, 100) == pytest.approx(1.0)
-
-    @given(
-        x=st.floats(0, 10, allow_nan=False),
-        a=st.integers(0, 10_000),
-        b=st.integers(0, 10_000),
+@pytest.mark.parametrize("tight, convert", [(False, rdp_to_dp), (True, rdp_to_dp_tight)])
+@pytest.mark.parametrize("tau", [0, 1, 100, 4698, 10**6])
+def test_spend_is_min_over_orders_of_converted_composition(tau, tight, convert):
+    # ties go to the smallest order, as min() keeps the first
+    eps, alpha = min(
+        (convert(a, tau * rdp_per_step(MNIST_Q, 1.23, a), 1e-5), a)
+        for a in DEFAULT_ALPHA_GRID
     )
-    def test_additivity(self, x, a, b):
-        assert compose(x, a + b) == pytest.approx(
-            compose(x, a) + compose(x, b), rel=1e-12, abs=0.0
-        )
+    result = spend(AccountantState(q=MNIST_Q, sigma=1.23, delta=1e-5, tau=tau), tight)
+    assert (result.epsilon, result.best_alpha) == (eps, alpha)
 
 
 class TestConversions:
@@ -118,6 +117,12 @@ class TestConversions:
             delta = rnd.uniform(1e-9, 1 / alpha)
             assert rdp_to_dp_tight(alpha, eps, delta) <= rdp_to_dp(alpha, eps, delta)
 
+    def test_elementwise_over_orders(self):
+        alphas = np.array([2, 9, 64])
+        for convert in (rdp_to_dp, rdp_to_dp_tight):
+            got = convert(alphas, np.array([0.0, 0.5, 3.0]), 0.01)
+            assert list(got) == [convert(a, e, 0.01) for a, e in zip(alphas, (0.0, 0.5, 3.0))]
+
     def test_rejects_bad_delta(self):
         with pytest.raises(InvalidParameterError):
             rdp_to_dp(2, 0.0, 0.0)
@@ -149,6 +154,13 @@ class TestSpend:
         ]
         assert eps_s == sorted(eps_s, reverse=True)
 
+    def test_tie_goes_to_smallest_order(self):
+        # with delta = 0.5 the tight conversion clamps several orders to 0
+        state = AccountantState(q=0.01, sigma=1.0, delta=0.5)
+        assert list(state.epsilons(0, tight_conversion=True)[:2]) == [0.0, 0.0]
+        result = spend(state, tight_conversion=True)
+        assert (result.epsilon, result.best_alpha) == (0.0, 2)
+
     def test_deterministic_with_smallest_alpha_tie_break(self):
         state = AccountantState(q=0.01, sigma=1.0, delta=1e-3, tau=200)
         assert spend(state) == spend(state)
@@ -171,6 +183,67 @@ class TestMaxStepsWithin:
         # frozen from the arbitrary-precision sweep in scripts/
         assert max_steps_within(self.STATE, 3.0) == 4698
 
+    def test_budget_below_one_charged_step_is_infeasible(self):
+        # above the tau=0 conversion floor, below a single charged step
+        floor = spend(self.STATE).epsilon
+        one = spend(self.STATE.with_tau(1)).epsilon
+        with pytest.raises(BudgetInfeasibleError):
+            max_steps_within(self.STATE, (floor + one) / 2)
+        assert max_steps_within(self.STATE, one) >= 1
+
+    @pytest.mark.parametrize("budget", [math.inf, math.nan])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(InvalidParameterError):
+            max_steps_within(self.STATE, budget)
+
+    def test_budget_that_never_binds_rejected(self):
+        # infinite noise costs nothing per step
+        state = AccountantState(q=0.5, sigma=math.inf, delta=1e-5)
+        with pytest.raises(InvalidParameterError):
+            max_steps_within(state, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.floats(1e-4, 1.0),
+        sigma=st.floats(0.3, 10.0),
+        delta=st.floats(1e-10, 0.5),
+        budget=st.floats(0.0, 50.0),
+        tight=st.booleans(),
+    )
+    def test_inverts_spend_exactly(self, q, sigma, delta, budget, tight):
+        state = AccountantState(q=q, sigma=sigma, delta=delta)
+        try:
+            tau = max_steps_within(state, budget, tight)
+        except BudgetInfeasibleError:
+            assert spend(state.with_tau(1), tight).epsilon > budget
+            return
+        assert spend(state.with_tau(tau), tight).epsilon <= budget
+        assert spend(state.with_tau(tau + 1), tight).epsilon > budget
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.floats(1e-4, 1.0),
+        sigma=st.floats(0.3, 10.0),
+        delta=st.floats(1e-10, 0.5),
+        tau0=st.integers(1, 10**6),
+        ulps=st.sampled_from([-1, 0, 1]),
+        tight=st.booleans(),
+    )
+    def test_inverts_spend_at_the_rounding_edge(self, q, sigma, delta, tau0, ulps, tight):
+        # a budget on, or one ulp either side of, an attained epsilon is
+        # where a floor computed in floats lands one step off
+        state = AccountantState(q=q, sigma=sigma, delta=delta)
+        budget = float(spend(state.with_tau(tau0), tight).epsilon)
+        budget = float(np.nextafter(budget, ulps * math.inf)) if ulps else budget
+        try:
+            tau = max_steps_within(state, budget, tight)
+        except BudgetInfeasibleError:
+            assert spend(state.with_tau(1), tight).epsilon > budget
+            return
+        assert spend(state.with_tau(tau), tight).epsilon <= budget
+        assert spend(state.with_tau(tau + 1), tight).epsilon > budget
+        assert (tau >= tau0) == (ulps >= 0)
+
 
 class TestAccountantState:
     def test_rejects_invalid_fields(self):
@@ -182,3 +255,13 @@ class TestAccountantState:
             AccountantState(q=0.5, sigma=1.0, delta=1e-5, tau=-1)
         with pytest.raises(InvalidParameterError):
             AccountantState(q=0.5, sigma=1.0, delta=1e-5, alpha_grid=[1, 2])
+
+
+def test_privacy_demo_prints_budget_crossing():
+    root = pathlib.Path(__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "demos" / "01_privacy_accounting.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert "Largest tau that stays within epsilon <= 3.0: 4698" in out

@@ -11,7 +11,6 @@ from sadp.annealer import (
     acceptance_probability,
     advance,
     decide,
-    run_classic_sa,
 )
 
 
@@ -151,60 +150,6 @@ class TestTrajectoryInvariants:
                     assert d.probability < 1.0 or d.forced or prev[0].Q == 0.0
                 prev_energy = state.energy
                 prev = (state, d, delta_e)
-
-
-class TestClassicSA:
-    def test_constant_objective_accepts_every_proposal(self):
-        out = run_classic_sa(
-            objective=lambda x: 1.0,
-            neighbor=lambda x, rng: x + 1,
-            x0=0,
-            T0=1.0,
-            cool=0.99,
-            n=50,
-            rng=np.random.default_rng(0),
-        )
-        assert out == 50
-
-    def test_quadratic_converges_near_zero(self):
-        hits = 0
-        for seed in range(100):
-            out = run_classic_sa(
-                objective=lambda x: x * x,
-                neighbor=lambda x, rng: x + rng.uniform(-0.1, 0.1),
-                x0=2.0,
-                T0=1.0,
-                cool=0.99,
-                n=5000,
-                rng=np.random.default_rng(seed),
-            )
-            hits += abs(out) < 0.5
-        assert hits >= 95
-
-    def test_hot_slow_cooling_is_a_random_walk(self):
-        # with an enormous temperature every proposal is taken
-        out = run_classic_sa(
-            objective=lambda x: x * x,
-            neighbor=lambda x, rng: x + 1,
-            x0=0,
-            T0=1e12,
-            cool=0.999999,
-            n=100,
-            rng=np.random.default_rng(0),
-        )
-        assert out == 100
-
-    def test_parameter_validation(self):
-        for kwargs in (
-            dict(T0=0.0, cool=0.5, n=10),
-            dict(T0=1.0, cool=1.0, n=10),
-            dict(T0=1.0, cool=0.5, n=0),
-        ):
-            with pytest.raises(ValueError):
-                run_classic_sa(
-                    lambda x: x, lambda x, rng: x, 0.0,
-                    rng=np.random.default_rng(0), **kwargs,
-                )
 
 
 def test_initial_state_validation():

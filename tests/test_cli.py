@@ -77,8 +77,16 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (SMALL_CFG, "clip_kind = auto_s\ngamma = 0"),
         (MLP_CFG, "model = foo"),
         (MLP_CFG, "layer_widths ="),
+        (SMALL_CFG, "eps_budget = inf"),
+        (SMALL_CFG, "synth_noise_std = none"),
+        (SMALL_CFG, "clip_norm = nan"),
+        (SMALL_CFG, "sigma = nan"),
+        (SMALL_CFG, "eps_budget = nan"),
     ],
-    ids=["clip_kind", "activation", "eval_fraction", "auto_s_gamma", "model", "mlp_widths"],
+    ids=[
+        "clip_kind", "activation", "eval_fraction", "auto_s_gamma", "model", "mlp_widths",
+        "inf_budget", "none_noise_std", "nan_clip_norm", "nan_sigma", "nan_budget",
+    ],
 )
 def test_invalid_field_exits_2_without_traceback(tmp_path, capsys, base, override):
     # later keys win, so the override replaces the base value
@@ -132,6 +140,54 @@ def test_test_label_beyond_train_classes_exits_2(tmp_path, capsys):
     assert_exits_2_without_traceback(
         capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
     )
+
+
+def write_idx(tmp_path, images: bytes, labels: bytes) -> str:
+    (tmp_path / "images").write_bytes(images)
+    (tmp_path / "labels").write_bytes(labels)
+    return (
+        f"dataset = idx\nidx_train_images = {tmp_path / 'images'}\n"
+        f"idx_train_labels = {tmp_path / 'labels'}\n"
+    )
+
+
+def write_csv(tmp_path, text: str) -> str:
+    (tmp_path / "data.csv").write_text(text)
+    return f"dataset = csv\ncsv_path = {tmp_path / 'data.csv'}\n"
+
+
+IDX_LABELS_HEADER = bytes.fromhex("00000801") + (30).to_bytes(4, "big")
+
+
+@pytest.mark.parametrize(
+    "data_keys",
+    [
+        lambda p: write_idx(p, np.random.default_rng(0).bytes(100), IDX_LABELS_HEADER + bytes(30)),
+        lambda p: write_idx(
+            p, bytes.fromhex("00000803") + (30).to_bytes(4, "big") * 3 + bytes(10),
+            IDX_LABELS_HEADER + bytes(30),
+        ),
+        lambda p: write_idx(
+            p, bytes.fromhex("00000803") + (20).to_bytes(4, "big") + (2).to_bytes(4, "big") * 2
+            + bytes(80), IDX_LABELS_HEADER + bytes(30),
+        ),
+        lambda p: write_csv(p, "a,b,label\n1,2,0\n3,x,1\n"),
+        lambda p: write_csv(p, "1,2,0\n3,1\n"),
+        lambda p: write_csv(p, "1,2,0\n3,nan,1\n"),
+        lambda p: write_csv(p, "a,b,label\n"),
+    ],
+    ids=[
+        "idx_random_bytes", "idx_truncated", "idx_count_mismatch",
+        "csv_non_numeric", "csv_ragged", "csv_non_finite", "csv_no_rows",
+    ],
+)
+def test_malformed_data_file_exits_4(tmp_path, capsys, data_keys):
+    cfg = write_cfg(tmp_path, LABELED_CFG + data_keys(tmp_path))
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_IO_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_infeasible_budget_exits_3(tmp_path):

@@ -11,7 +11,6 @@ from sadp.dp_optimizer import (
     DimensionMismatchError,
     NoisePolicy,
     NonFiniteInputError,
-    clip,
     clip_batch,
     clipped_grad_sum,
     noisy_average,
@@ -32,24 +31,24 @@ vectors = hnp.arrays(
 
 class TestClip:
     def test_abadi_rescales_above_threshold(self):
-        np.testing.assert_allclose(clip(np.array([3.0, 4.0]), ABADI), [0.6, 0.8])
+        np.testing.assert_allclose(clip_batch(np.array([[3.0, 4.0]]), ABADI)[0], [0.6, 0.8])
 
     def test_abadi_identity_below_threshold(self):
         policy = ClipPolicy("abadi", clip_norm=10.0)
-        np.testing.assert_array_equal(clip(np.array([3.0, 4.0]), policy), [3.0, 4.0])
+        np.testing.assert_array_equal(clip_batch(np.array([[3.0, 4.0]]), policy)[0], [3.0, 4.0])
 
     def test_auto_s_zero_maps_to_zero(self):
-        np.testing.assert_array_equal(clip(np.zeros(2), AUTO_S), np.zeros(2))
+        np.testing.assert_array_equal(clip_batch(np.zeros((1, 2)), AUTO_S)[0], np.zeros(2))
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInputError):
-            clip(np.array([1.0, np.nan]), ABADI)
+            clip_batch(np.array([[1.0, np.nan]]), ABADI)
         with pytest.raises(NonFiniteInputError):
             clip_batch(np.array([[1.0, np.inf]]), ABADI)
 
     @given(g=vectors)
     def test_abadi_norm_bound(self, g):
-        clipped = clip(g, ABADI)
+        clipped = clip_batch(g[None], ABADI)[0]
         norm = np.linalg.norm(clipped)
         assert norm <= ABADI.clip_norm * (1 + 1e-12)
         if np.linalg.norm(g) <= ABADI.clip_norm:
@@ -59,13 +58,13 @@ class TestClip:
     def test_auto_s_exact_norm(self, g):
         norm = np.linalg.norm(g)
         expected = AUTO_S.clip_norm * norm / (norm + AUTO_S.gamma)
-        assert np.linalg.norm(clip(g, AUTO_S)) == pytest.approx(expected, abs=1e-12)
-        assert np.linalg.norm(clip(g, AUTO_S)) < AUTO_S.clip_norm
+        assert np.linalg.norm(clip_batch(g[None], AUTO_S)[0]) == pytest.approx(expected, abs=1e-12)
+        assert np.linalg.norm(clip_batch(g[None], AUTO_S)[0]) < AUTO_S.clip_norm
 
     @given(g=vectors, lam=st.floats(0.01, 100))
     def test_clip_preserves_direction(self, g, lam):
         for policy in (ABADI, AUTO_S):
-            scaled = clip(lam * g, policy)
+            scaled = clip_batch((lam * g)[None], policy)[0]
             # parallel: cross terms vanish
             assert abs(
                 float(scaled @ g) - np.linalg.norm(scaled) * np.linalg.norm(g)
@@ -74,15 +73,15 @@ class TestClip:
     def test_large_dimension_norm_bound(self):
         rng = np.random.default_rng(0)
         g = rng.normal(size=10_000)
-        assert np.linalg.norm(clip(g, ABADI)) <= 1.0 + 1e-12
+        assert np.linalg.norm(clip_batch(g[None], ABADI)[0]) <= 1.0 + 1e-12
 
-    def test_clip_batch_matches_clip(self):
+    def test_clip_batch_matches_single_rows(self):
         rng = np.random.default_rng(1)
         grads = rng.normal(size=(20, 7), scale=3.0)
         for policy in (ABADI, AUTO_S):
             batch = clip_batch(grads, policy)
             for row, g in zip(batch, grads):
-                np.testing.assert_allclose(row, clip(g, policy), atol=1e-15)
+                np.testing.assert_allclose(row, clip_batch(g[None], policy)[0], atol=1e-15)
 
 
 def spec_id(spec):
@@ -193,7 +192,7 @@ class TestNoisyAverage:
         c = 1.0
         for _ in range(50):
             grads = clip_batch(rng.normal(size=(8, 6), scale=5.0), ABADI)
-            alt = clip(rng.normal(size=6, scale=5.0), ABADI)
+            alt = clip_batch(rng.normal(size=(1, 6), scale=5.0), ABADI)[0]
             swapped = grads.copy()
             swapped[3] = alt
             diff = np.linalg.norm(grads.sum(axis=0) - swapped.sum(axis=0))

@@ -129,8 +129,9 @@ class TestTrain:
             assert r.accepted and not r.forced
             assert r.tau == r.t
 
-    def test_final_spend_matches_independent_recompute(self):
-        cfg = dataclasses.replace(LINREG_CFG, max_iters=80)
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_final_spend_matches_independent_recompute(self, tight):
+        cfg = dataclasses.replace(LINREG_CFG, max_iters=80, tight_conversion=tight)
         _, spend_, records = train(cfg)
         state = accountant.AccountantState(
             q=min(cfg.lot_size / 900, 1.0),  # 1000 minus the 10% held-out split
@@ -138,9 +139,8 @@ class TestTrain:
             delta=cfg.delta,
             tau=records[-1].tau,
         )
-        recomputed = accountant.spend(state)
-        assert spend_.epsilon == recomputed.epsilon
-        assert records[-1].epsilon_so_far == recomputed.epsilon
+        recomputed = accountant.spend(state, tight)
+        assert records[-1].epsilon_so_far == spend_.epsilon == recomputed.epsilon
 
     def test_epsilon_nondecreasing_and_capped_by_budget(self):
         cfg = dataclasses.replace(
@@ -183,6 +183,26 @@ class TestTraces:
                     isinstance(va, float) and math.isnan(va) and math.isnan(vb)
                 )
         assert (tmp_path / "trace.json").exists()
+
+    def test_numpy_scalars_written_as_plain_numbers(self, tmp_path):
+        plain = IterationRecord(
+            t=3, tau=2, mu=1, Q=20.0, delta_E=-0.125, P=0.5, accepted=True,
+            forced=False, eval_loss=0.2259375, eval_accuracy=math.nan,
+            epsilon_so_far=1.5,
+        )
+        numpy_scalars = IterationRecord(
+            t=np.int64(3), tau=np.int64(2), mu=np.int64(1), Q=np.float64(20.0),
+            delta_E=np.float64(-0.125), P=np.float32(0.5), accepted=np.bool_(True),
+            forced=np.bool_(False), eval_loss=np.float64(0.2259375),
+            eval_accuracy=np.float64(np.nan), epsilon_so_far=np.float64(1.5),
+        )
+        emit_trace([plain], tmp_path / "plain.csv")
+        emit_trace([numpy_scalars], tmp_path / "numpy.csv")
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        (back,) = read_trace(tmp_path / "numpy.csv")
+        for col in TRACE_COLUMNS:
+            va, vb = getattr(back, col), getattr(plain, col)
+            assert va == vb or (math.isnan(va) and math.isnan(vb))
 
     def test_header_only_for_empty_run(self, tmp_path):
         path = tmp_path / "trace.csv"
