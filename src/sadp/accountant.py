@@ -21,6 +21,8 @@ from scipy.special import gammaln, logsumexp
 from .errors import BudgetInfeasibleError, InvalidParameterError
 
 DEFAULT_ALPHA_GRID = tuple(range(2, 65))
+_ALPHAS = np.array(DEFAULT_ALPHA_GRID, dtype=np.float64)
+_ALPHAS.flags.writeable = False
 
 
 def _check_q_sigma(q: float, sigma: float) -> None:
@@ -74,7 +76,6 @@ class AccountantState:
     sigma: float
     delta: float
     tau: int = 0
-    alpha_grid: Sequence[int] = DEFAULT_ALPHA_GRID
 
     def __post_init__(self):
         _check_q_sigma(self.q, self.sigma)
@@ -83,36 +84,25 @@ class AccountantState:
         _check_delta(self.delta)
         if self.tau < 0:
             raise InvalidParameterError(f"tau={self.tau} must be >= 0")
-        if not self.alpha_grid or any(
-            a < 2 or a != int(a) for a in self.alpha_grid
-        ):
-            raise InvalidParameterError("alpha grid must be integers >= 2")
-
-    @cached_property
-    def alphas(self) -> np.ndarray:
-        """alpha_grid as a read-only float array."""
-        alphas = np.array(self.alpha_grid, dtype=np.float64)
-        alphas.flags.writeable = False
-        return alphas
 
     @cached_property
     def rdp(self) -> np.ndarray:
-        """Per-step RDP at each order of alpha_grid, built once per state."""
-        curve = _rdp_curve(self.q, self.sigma, self.alphas)
+        """Per-step RDP at each order of DEFAULT_ALPHA_GRID, built once per state."""
+        curve = _rdp_curve(self.q, self.sigma, _ALPHAS)
         curve.flags.writeable = False
         return curve
 
     def with_tau(self, tau: int) -> "AccountantState":
         moved = replace(self, tau=tau)
-        # same q, sigma and grid, so the same curve
-        vars(moved).update(alphas=self.alphas, rdp=self.rdp)
+        # same q and sigma, so the same curve
+        vars(moved).update(rdp=self.rdp)
         return moved
 
     def epsilons(self, tau, tight_conversion: bool = False) -> np.ndarray:
         """(epsilon, delta)-DP epsilon at each order after tau charged steps;
         tau is one count or one count per order."""
         convert = rdp_to_dp_tight if tight_conversion else rdp_to_dp
-        return convert(self.alphas, tau * self.rdp, self.delta)
+        return convert(_ALPHAS, tau * self.rdp, self.delta)
 
     def epsilon(self, tau, tight_conversion: bool = False) -> float:
         """epsilon after tau charged steps: the min over orders."""
@@ -173,7 +163,7 @@ def spend(state: AccountantState, tight_conversion: bool = False) -> PrivacySpen
     best = int(np.argmin(eps))
     return PrivacySpend(
         epsilon=float(eps[best]), delta=state.delta,
-        best_alpha=int(state.alpha_grid[best]),
+        best_alpha=DEFAULT_ALPHA_GRID[best],
     )
 
 
@@ -197,7 +187,7 @@ def max_steps_within(
             f"(epsilon {eps_one:.6g} at q={state.q:.6g}, sigma={state.sigma})"
         )
     rdp = state.rdp
-    tail = _tail(state.alphas, state.delta, tight_conversion)
+    tail = _tail(_ALPHAS, state.delta, tight_conversion)
     if np.any((rdp == 0.0) & (tail <= eps_budget)):
         raise InvalidParameterError(
             f"the per-step cost at q={state.q:.6g}, sigma={state.sigma} is 0, "

@@ -2,11 +2,13 @@
 
 Subcommands:
   train    --config <path> [--seed N] [--out <dir>]
-  compare  --configs <paths...> --seeds <list> --out <dir>
-  privacy  --q Q --sigma S --delta D --tau N
+  compare  --configs <paths...> --seeds <list> [--out <dir>]
+  privacy  --q Q --sigma S --delta D --tau N [--tight]
 
-Exit codes: 0 success, 2 invalid config, 3 budget infeasible, 4 I/O error
-or malformed data file.
+Every training setting lives in the config; only --seed overrides it.
+
+Exit codes: 0 success, 2 invalid config (or a run that diverged), 3 budget
+infeasible, 4 I/O error or malformed data file.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 from . import accountant, harness, models
 from .errors import (
     BudgetInfeasibleError, DataFileError, InvalidConfigError, InvalidParameterError,
+    NonFiniteParametersError,
 )
 
 EXIT_OK = 0
@@ -35,15 +38,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", default=".")
-    p_train.add_argument("--eval-set", choices=["held_out", "test"], default=None)
-    p_train.add_argument("--clamp-tau-floor", action="store_true", default=None)
-    p_train.add_argument("--json", action="store_true", help="also write a JSON trace")
 
     p_cmp = sub.add_parser("compare", help="run several configs over seeds")
     p_cmp.add_argument("--configs", nargs="+", required=True)
     p_cmp.add_argument("--seeds", required=True, help="comma-separated seed list")
     p_cmp.add_argument("--out", default=".")
-    p_cmp.add_argument("--target-accuracy", type=float, default=None)
 
     p_priv = sub.add_parser("privacy", help="epsilon for a given charged step count")
     p_priv.add_argument("--q", type=float, required=True)
@@ -54,23 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.eval_set is not None:
-        overrides["eval_set"] = args.eval_set
-    if args.clamp_tau_floor:
-        overrides["clamp_tau_floor"] = True
-    return dataclasses.replace(config, **overrides) if overrides else config
-
-
 def _cmd_train(args) -> int:
-    config = _apply_overrides(harness.load_config(args.config), args)
+    config = harness.load_config(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     w, spend, records = harness.train(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    harness.emit_trace(records, out / "trace.csv", json_mirror=args.json)
+    harness.emit_trace(records, out / "trace.csv")
     models.save_checkpoint(out / "final.params", w)
     print(
         f"{config.method}: {len(records)} iterations, "
@@ -83,8 +73,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_compare(args) -> int:
     configs = [harness.load_config(p) for p in args.configs]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    summaries = harness.compare(configs, seeds, args.target_accuracy)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise InvalidConfigError(f"--seeds must list integers, got {args.seeds!r}") from None
+    summaries = harness.compare(configs, seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.emit_summary(summaries, out / "summary.csv", out / "summary.json")
@@ -117,7 +110,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_privacy(args)
-    except (InvalidConfigError, InvalidParameterError) as exc:
+    except (InvalidConfigError, InvalidParameterError, NonFiniteParametersError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except BudgetInfeasibleError as exc:

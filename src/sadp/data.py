@@ -1,8 +1,9 @@
 """Dataset ingestion and sampling.
 
 IDX binary readers/writers for the MNIST-family files, a CSV loader for
-generic tabular data (optional header, label in the last column), seeded
-synthetic generators, train/eval splitting, and Poisson subsampling.
+tabular classification data (optional header, integer class label in the
+last column), seeded synthetic generators, train/eval splitting, and
+Poisson subsampling.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class LabeledDataset:
 @dataclass(frozen=True)
 class SamplerConfig:
     q: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
@@ -104,8 +104,8 @@ def save_idx(dataset: LabeledDataset, images_path, labels_path, rows: int, cols:
         f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
-def load_csv(path, classification: bool = True) -> LabeledDataset:
-    """Comma-separated numeric table, label in the last column.
+def load_csv(path) -> LabeledDataset:
+    """Comma-separated numeric table, integer class label in the last column.
 
     A header row is detected (first cell not parseable as a number) and
     skipped.
@@ -128,8 +128,10 @@ def load_csv(path, classification: bool = True) -> LabeledDataset:
     table = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(table)):
         raise DataFileError(f"{path}: non-finite value")
-    labels = table[:, -1].astype(np.int64) if classification else table[:, -1]
-    return LabeledDataset(features=table[:, :-1], labels=labels)
+    labels = table[:, -1]
+    if np.any(labels != np.floor(labels)):
+        raise DataFileError(f"{path}: labels must be integer classes")
+    return LabeledDataset(features=table[:, :-1], labels=labels.astype(np.int64))
 
 
 def poisson_sample(n: int, config: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
@@ -153,14 +155,12 @@ def synth_linear(
     return LabeledDataset(features=X, labels=np.asarray(y, dtype=np.float64))
 
 
-def synth_blobs(
-    n: int, n_classes: int, dim: int, seed: int, spread: float = 1.0
-) -> LabeledDataset:
+def synth_blobs(n: int, n_classes: int, dim: int, seed: int) -> LabeledDataset:
     """Gaussian class clusters squashed into [0, 1], image-like surrogate."""
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.2, 0.8, size=(n_classes, dim))
     labels = rng.integers(0, n_classes, size=n)
-    X = centers[labels] + rng.normal(0.0, 0.15 * spread, size=(n, dim))
+    X = centers[labels] + rng.normal(0.0, 0.15, size=(n, dim))
     return LabeledDataset(
         features=np.clip(X, 0.0, 1.0), labels=labels.astype(np.int64)
     )

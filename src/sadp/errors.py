@@ -9,6 +9,14 @@ class DimensionMismatchError(ValueError):
     """Array shapes or lengths disagree."""
 
 
+class NonFiniteParametersError(ValueError):
+    """A parameter vector has NaN or Inf entries, as after a diverged run (exit 2)."""
+
+
+class EmptyDatasetError(ValueError):
+    """A loss was asked for over zero examples."""
+
+
 class InvalidConfigError(ValueError):
     """A training config key or value is invalid (exit 2)."""
 

@@ -51,7 +51,6 @@ class TrainConfig:
     idx_test_images: str = ""
     idx_test_labels: str = ""
     csv_path: str = ""
-    train_limit: int = 0                     # 0 = use everything
     synth_n: int = 1000
     synth_weights: tuple[float, ...] = (2.0, -3.0)
     synth_noise_std: float = 0.1
@@ -76,8 +75,11 @@ class TrainConfig:
         for name in ("clip_norm", "eta", "sigma", "q0", "delta"):
             if getattr(self, name) <= 0:
                 raise InvalidConfigError(f"{name} must be > 0")
-        if self.lot_size < 1 or self.mu0 < 1 or self.max_iters < 1:
-            raise InvalidConfigError("lot_size, mu0 and max_iters must be >= 1")
+        for name in ("lot_size", "mu0", "max_iters", "synth_n", "blob_classes", "blob_dim"):
+            if getattr(self, name) < 1:
+                raise InvalidConfigError(f"{name} must be >= 1")
+        if self.seed < 0 or self.synth_seed < 0:
+            raise InvalidConfigError("seed and synth_seed must be >= 0")
         if not 0.0 < self.eval_fraction < 1.0:
             raise InvalidConfigError("eval_fraction must be in (0, 1)")
         try:
@@ -175,16 +177,17 @@ def _load_splits(config: TrainConfig):
             max(config.synth_n // 5, 1), config.blob_classes, config.blob_dim,
             config.synth_seed + 1,
         )
-    if config.train_limit and train.n > config.train_limit:
-        train = data.LabeledDataset(
-            train.features[: config.train_limit], train.labels[: config.train_limit]
-        )
     if config.eval_set == "test":
         if test is None:
             raise InvalidConfigError("eval_set=test requires a test dataset")
-        return train, test, test
-    train, held_out = data.split(train, config.eval_fraction, config.seed)
-    return train, held_out, test
+        eval_set = test
+    else:
+        train, eval_set = data.split(train, config.eval_fraction, config.seed)
+    if train.n == 0 or eval_set.n == 0:
+        raise InvalidConfigError(
+            f"empty split: {train.n} training and {eval_set.n} evaluation rows"
+        )
+    return train, eval_set, test
 
 
 def _model_spec(config: TrainConfig, train: data.LabeledDataset, *others) -> models.ModelSpec:
@@ -210,9 +213,9 @@ def _model_spec(config: TrainConfig, train: data.LabeledDataset, *others) -> mod
 def train(config: TrainConfig):
     """Run one experiment; returns (final w, PrivacySpend, records).
 
-    With method=sa_dpsgd, every candidate passes the annealed acceptance
-    test and only accepted iterations are charged. With method=dpsgd every
-    candidate is applied and every iteration is charged.
+    Only applied updates are charged, tau of them. With method=sa_dpsgd,
+    every candidate passes the annealed acceptance test; with method=dpsgd
+    every candidate is applied, so tau = t.
     """
     train_set, eval_set, test_set = _load_splits(config)
     spec = _model_spec(config, train_set, eval_set, test_set)
@@ -233,7 +236,7 @@ def train(config: TrainConfig):
     w = models.init_params(spec, init_rng)
     clip_policy = dp_optimizer.ClipPolicy(config.clip_kind, config.clip_norm, config.gamma)
     noise_policy = dp_optimizer.NoisePolicy(config.sigma, config.lot_size)
-    sampler = data.SamplerConfig(q=q, seed=config.seed)
+    sampler = data.SamplerConfig(q=q)
 
     energy, cur_acc = models.evaluate(spec, w, eval_set.features, eval_set.labels)
     state = annealer.AnnealerState.initial(
@@ -242,8 +245,7 @@ def train(config: TrainConfig):
 
     records: list[IterationRecord] = []
     for _ in range(config.max_iters):
-        charged = state.tau if config.method == "sa_dpsgd" else state.t
-        if max_charged is not None and charged >= max_charged:
+        if max_charged is not None and state.tau >= max_charged:
             break
 
         idx = data.poisson_sample(train_set.n, sampler, sample_rng)
@@ -268,8 +270,6 @@ def train(config: TrainConfig):
             w = w_new
             cur_acc = new_acc
         state = annealer.advance(state, decision, new_energy)
-
-        charged = state.tau if config.method == "sa_dpsgd" else state.t
         records.append(
             IterationRecord(
                 t=state.t,
@@ -282,14 +282,11 @@ def train(config: TrainConfig):
                 forced=decision.forced,
                 eval_loss=state.energy,
                 eval_accuracy=math.nan if cur_acc is None else cur_acc,
-                epsilon_so_far=acct.epsilon(charged, config.tight_conversion),
+                epsilon_so_far=acct.epsilon(state.tau, config.tight_conversion),
             )
         )
 
-    final_charged = state.tau if config.method == "sa_dpsgd" else state.t
-    final_spend = accountant.spend(
-        acct.with_tau(final_charged), config.tight_conversion
-    )
+    final_spend = accountant.spend(acct.with_tau(state.tau), config.tight_conversion)
     return w, final_spend, records
 
 
@@ -301,51 +298,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_trace(records, path, json_mirror: bool = False) -> None:
+def emit_trace(records, path) -> None:
     """One CSV row per iteration, columns in IterationRecord order."""
     lines = [",".join(TRACE_COLUMNS)]
     for r in records:
         lines.append(",".join(_fmt(getattr(r, c)) for c in TRACE_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n")
-    if json_mirror:
-        Path(path).with_suffix(".json").write_text(
-            json.dumps([dataclasses.asdict(r) for r in records], indent=1) + "\n"
-        )
 
 
 def read_trace(path) -> list[IterationRecord]:
+    """Inverse of emit_trace; each value is parsed by its field's type, as
+    config values are, so a malformed number or boolean raises ValueError."""
     lines = Path(path).read_text().splitlines()
     if lines[0].split(",") != TRACE_COLUMNS:
         raise ValueError(f"{path}: unexpected trace header")
+    hints = typing.get_type_hints(IterationRecord)
     records = []
     for line in lines[1:]:
-        vals = dict(zip(TRACE_COLUMNS, line.split(",")))
-        records.append(
-            IterationRecord(
-                t=int(vals["t"]), tau=int(vals["tau"]), mu=int(vals["mu"]),
-                Q=float(vals["Q"]), delta_E=float(vals["delta_E"]),
-                P=float(vals["P"]), accepted=vals["accepted"] == "true",
-                forced=vals["forced"] == "true",
-                eval_loss=float(vals["eval_loss"]),
-                eval_accuracy=float(vals["eval_accuracy"]),
-                epsilon_so_far=float(vals["epsilon_so_far"]),
-            )
-        )
+        values = zip(TRACE_COLUMNS, line.split(","), strict=True)
+        records.append(IterationRecord(**{c: _parse_value(hints[c], v) for c, v in values}))
     return records
 
 
-def compare(configs, seeds, target_accuracy: float | None = None):
+def compare(configs, seeds):
     """Run every config over every seed; summarize per config.
 
-    Returns a list of dicts with mean/std of final accuracy, final loss,
-    final epsilon, and (if a target is given) epsilon at the first
-    iteration reaching the target accuracy.
+    Returns a list of dicts with mean/std of final accuracy, final loss and
+    final epsilon.
     """
     if not configs or not seeds:
-        raise ValueError("need at least one config and one seed")
+        raise InvalidConfigError("need at least one config and one seed")
     summaries = []
     for i, config in enumerate(configs):
-        accs, losses, epsilons, eps_at_target = [], [], [], []
+        accs, losses, epsilons = [], [], []
         for seed in seeds:
             run_cfg = dataclasses.replace(config, seed=int(seed))
             _, spend_, records = train(run_cfg)
@@ -353,15 +338,7 @@ def compare(configs, seeds, target_accuracy: float | None = None):
             accs.append(final.eval_accuracy)
             losses.append(final.eval_loss)
             epsilons.append(spend_.epsilon)
-            if target_accuracy is not None:
-                hit = next(
-                    (r.epsilon_so_far for r in records
-                     if not math.isnan(r.eval_accuracy)
-                     and r.eval_accuracy >= target_accuracy),
-                    math.nan,
-                )
-                eps_at_target.append(hit)
-        summary = {
+        summaries.append({
             "config_index": i,
             "method": config.method,
             "n_runs": len(seeds),
@@ -371,11 +348,7 @@ def compare(configs, seeds, target_accuracy: float | None = None):
             "std_final_loss": _nanstd(losses),
             "mean_final_epsilon": _nanmean(epsilons),
             "std_final_epsilon": _nanstd(epsilons),
-        }
-        if target_accuracy is not None:
-            summary["mean_epsilon_at_target"] = _nanmean(eps_at_target)
-            summary["std_epsilon_at_target"] = _nanstd(eps_at_target)
-        summaries.append(summary)
+        })
     return summaries
 
 

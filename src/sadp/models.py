@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, EmptyDatasetError, NonFiniteParametersError
 
 CHECKPOINT_MAGIC = b"SADP"
 CHECKPOINT_VERSION = 1
@@ -28,14 +28,6 @@ MLP = "mlp"
 
 BOUNDED_TANH = "bounded_tanh"
 RECTIFIER = "rectifier"
-
-
-class NonFiniteParametersError(ValueError):
-    pass
-
-
-class EmptyDatasetError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

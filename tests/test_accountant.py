@@ -253,8 +253,6 @@ class TestAccountantState:
             AccountantState(q=0.5, sigma=1.0, delta=1.5)
         with pytest.raises(InvalidParameterError):
             AccountantState(q=0.5, sigma=1.0, delta=1e-5, tau=-1)
-        with pytest.raises(InvalidParameterError):
-            AccountantState(q=0.5, sigma=1.0, delta=1e-5, alpha_grid=[1, 2])
 
 
 def test_privacy_demo_prints_budget_crossing():

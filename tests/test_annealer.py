@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,3 +161,13 @@ def test_initial_state_validation():
         AnnealerState.initial(Q0=0.0, mu0=10)
     with pytest.raises(ValueError):
         AnnealerState.initial(Q0=1.0, mu0=0)
+
+
+def test_screening_demo_prints_acceptance_probabilities():
+    root = pathlib.Path(__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "demos" / "02_annealed_screening.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert "  tau =   5: P(accept delta_E=0.05) = 0.28650\n" in out

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from sadp import cli
+from sadp import accountant, cli
 from sadp.data import LabeledDataset, save_idx
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -82,10 +82,19 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (SMALL_CFG, "clip_norm = nan"),
         (SMALL_CFG, "sigma = nan"),
         (SMALL_CFG, "eps_budget = nan"),
+        (MLP_CFG, "synth_n = 0"),
+        (MLP_CFG, "blob_classes = 0"),
+        (MLP_CFG, "blob_dim = 0"),
+        (MLP_CFG, "seed = -1"),
+        (MLP_CFG, "synth_seed = -1"),
+        (MLP_CFG, "synth_n = 5"),
+        (MLP_CFG, "eval_fraction = 0.001"),
     ],
     ids=[
         "clip_kind", "activation", "eval_fraction", "auto_s_gamma", "model", "mlp_widths",
         "inf_budget", "none_noise_std", "nan_clip_norm", "nan_sigma", "nan_budget",
+        "zero_synth_n", "zero_blob_classes", "zero_blob_dim", "negative_seed",
+        "negative_synth_seed", "empty_held_out_small_n", "empty_held_out_small_fraction",
     ],
 )
 def test_invalid_field_exits_2_without_traceback(tmp_path, capsys, base, override):
@@ -107,20 +116,22 @@ max_iters = 3
 """
 
 
-def assert_exits_2_without_traceback(capsys, argv):
+def assert_exits_2_without_traceback(capsys, argv) -> str:
     assert cli.main(argv) == cli.EXIT_INVALID_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "labels" in err
+    assert err.startswith("error:")
     assert "Traceback" not in err
+    return err
 
 
 def test_negative_csv_label_exits_2(tmp_path, capsys):
     rows = [f"{i % 3}.0,{(i * 7) % 5}.0,{-1 if i == 12 else i % 3}" for i in range(40)]
     (tmp_path / "data.csv").write_text("a,b,label\n" + "\n".join(rows) + "\n")
     cfg = write_cfg(tmp_path, LABELED_CFG + f"dataset = csv\ncsv_path = {tmp_path / 'data.csv'}\n")
-    assert_exits_2_without_traceback(
+    err = assert_exits_2_without_traceback(
         capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
     )
+    assert "labels" in err
 
 
 def test_test_label_beyond_train_classes_exits_2(tmp_path, capsys):
@@ -137,9 +148,10 @@ def test_test_label_beyond_train_classes_exits_2(tmp_path, capsys):
         + f"idx_train_images = {paths['train'][0]}\nidx_train_labels = {paths['train'][1]}\n"
         + f"idx_test_images = {paths['test'][0]}\nidx_test_labels = {paths['test'][1]}\n",
     )
-    assert_exits_2_without_traceback(
+    err = assert_exits_2_without_traceback(
         capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
     )
+    assert "labels" in err
 
 
 def write_idx(tmp_path, images: bytes, labels: bytes) -> str:
@@ -175,10 +187,12 @@ IDX_LABELS_HEADER = bytes.fromhex("00000801") + (30).to_bytes(4, "big")
         lambda p: write_csv(p, "1,2,0\n3,1\n"),
         lambda p: write_csv(p, "1,2,0\n3,nan,1\n"),
         lambda p: write_csv(p, "a,b,label\n"),
+        lambda p: write_csv(p, "1,2,0.5\n3,4,1.5\n5,6,2.5\n"),
     ],
     ids=[
         "idx_random_bytes", "idx_truncated", "idx_count_mismatch",
         "csv_non_numeric", "csv_ragged", "csv_non_finite", "csv_no_rows",
+        "csv_fractional_labels",
     ],
 )
 def test_malformed_data_file_exits_4(tmp_path, capsys, data_keys):
@@ -188,6 +202,22 @@ def test_malformed_data_file_exits_4(tmp_path, capsys, data_keys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_diverged_run_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MLP_CFG + "eta = 1e308\nsigma = 1000\n")
+    err = assert_exits_2_without_traceback(
+        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("seeds", [",", "a"], ids=["no_seeds", "non_integer_seed"])
+def test_compare_bad_seed_list_exits_2(tmp_path, capsys, seeds):
+    cfg = write_cfg(tmp_path)
+    assert_exits_2_without_traceback(
+        capsys, ["compare", "--configs", str(cfg), "--seeds", seeds, "--out", str(tmp_path)]
+    )
 
 
 def test_infeasible_budget_exits_3(tmp_path):
@@ -218,6 +248,16 @@ def test_privacy_calculator(capsys):
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "epsilon = 2.99" in out
+
+
+def test_privacy_tight_conversion(capsys):
+    argv = ["privacy", "--q", "0.00853", "--sigma", "1.23", "--delta", "1e-5", "--tau", "4698"]
+    assert cli.main(argv + ["--tight"]) == cli.EXIT_OK
+    state = accountant.AccountantState(q=0.00853, sigma=1.23, delta=1e-5, tau=4698)
+    tight = accountant.spend(state, tight_conversion=True)
+    assert tight.epsilon < accountant.spend(state).epsilon
+    out = capsys.readouterr().out
+    assert out.startswith(f"epsilon = {tight.epsilon:.6f} at alpha = {tight.best_alpha} ")
 
 
 def test_privacy_rejects_bad_parameters(capsys):

@@ -180,12 +180,13 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.5, 4.0]])
         np.testing.assert_array_equal(ds.labels, [0, 1])
 
-    def test_without_header_regression(self, tmp_path):
+    def test_without_header(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("1.0,0.25\n2.0,0.75\n")
-        ds = load_csv(p, classification=False)
-        assert ds.labels.dtype == np.float64
-        np.testing.assert_array_equal(ds.labels, [0.25, 0.75])
+        p.write_text("1.0,2\n2.0,0\n")
+        ds = load_csv(p)
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.features, [[1.0], [2.0]])
+        np.testing.assert_array_equal(ds.labels, [2, 0])
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "t.csv"

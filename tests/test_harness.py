@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,7 +177,7 @@ class TestTraces:
         cfg = dataclasses.replace(LINREG_CFG, max_iters=20)
         _, _, records = train(cfg)
         path = tmp_path / "trace.csv"
-        emit_trace(records, path, json_mirror=True)
+        emit_trace(records, path)
         back = read_trace(path)
         assert len(back) == len(records)
         for a, b in zip(back, records):
@@ -182,7 +186,14 @@ class TestTraces:
                 assert va == vb or (
                     isinstance(va, float) and math.isnan(va) and math.isnan(vb)
                 )
-        assert (tmp_path / "trace.json").exists()
+
+    def test_malformed_boolean_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            ",".join(TRACE_COLUMNS) + "\n1,1,0,10.0,-0.5,1.0,yes,false,0.5,nan,0.1\n"
+        )
+        with pytest.raises(ValueError):
+            read_trace(path)
 
     def test_numpy_scalars_written_as_plain_numbers(self, tmp_path):
         plain = IterationRecord(
@@ -279,3 +290,16 @@ class TestClassification:
         cfg = dataclasses.replace(LINREG_CFG, clamp_tau_floor=True, max_iters=50)
         _, _, records = train(cfg)
         assert all(r.Q >= cfg.q0 for r in records)
+
+
+def test_train_and_compare_demo_prints_both_methods():
+    root = pathlib.Path(__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "demos" / "03_train_and_compare.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert re.search(
+        r"^dpsgd   : mean final eval loss \d\.\d{6} over 5 seeds \(300 iterations each\)$",
+        out, re.M,
+    )
