@@ -40,32 +40,38 @@ def _check_delta(delta: float) -> None:
 def _rdp_curve(q: float, sigma: float, alphas: Sequence[int]) -> np.ndarray:
     """Per-step RDP epsilon of the subsampled Gaussian at each integer order.
 
-    Evaluates, for every alpha at once, the log of the moment sum
+    The moment sum
 
-        sum_{k=0}^{alpha} C(alpha,k) (1-q)^(alpha-k) q^k exp((k^2-k)/(2 sigma^2))
+        A_alpha = sum_{k=0}^{alpha} C(alpha,k) (1-q)^(alpha-k) q^k exp((k^2-k)/(2 sigma^2))
 
-    as one log-sum-exp down the k axis of a (max alpha + 1, len(alphas))
-    array whose entries with k > alpha are -inf. Working in the log domain
-    (log-gamma binomials) keeps the result finite for large alpha and small
-    sigma.
+    is 1 + O(q^2): its binomial weights sum to 1 and the k = 0, 1 terms
+    carry no exponent. So log A_alpha is taken as log1p of
+
+        A_alpha - 1 = sum_{k>=2} C(alpha,k) (1-q)^(alpha-k) q^k expm1((k^2-k)/(2 sigma^2)),
+
+    one log-sum-exp down the k axis of a (max alpha - 1, len(alphas)) array
+    whose entries with k > alpha are -inf. The log domain (log-gamma
+    binomials) keeps the result finite for large alpha and small sigma, and
+    the log1p form keeps full relative precision at small q.
     """
     alpha = np.asarray(alphas, dtype=np.float64)
     if q == 0.0:
         return np.zeros_like(alpha)
-    k = np.arange(alpha.max() + 1)[:, None]
+    k = np.arange(2, alpha.max() + 1)[:, None]
     log_q = math.log(q) if q < 1.0 else 0.0
     log_1mq = math.log1p(-q) if q < 1.0 else -math.inf
-    # 0 * -inf would poison the k=alpha (resp. k=0) term, and k > alpha has
-    # no term at all; mask all three explicitly
+    c = (k * k - k) / (2.0 * sigma * sigma)
+    # 0 * -inf would poison the k=alpha term, and k > alpha has no term at
+    # all; mask both explicitly (c underflows to 0 only at huge sigma)
     with np.errstate(invalid="ignore", divide="ignore"):
         terms = (
             gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
             + np.where(k == alpha, 0.0, (alpha - k) * log_1mq)
-            + np.where(k == 0, 0.0, k * log_q)
-            + (k * k - k) / (2.0 * sigma * sigma)
+            + k * log_q
+            + c + np.log(-np.expm1(-c))      # log expm1(c), without overflow
         )
-    log_a = logsumexp(np.where(k <= alpha, terms, -np.inf), axis=0)
-    return np.maximum(log_a / (alpha - 1), 0.0)
+    log_a_minus_1 = logsumexp(np.where(k <= alpha, terms, -np.inf), axis=0)
+    return np.logaddexp(0.0, log_a_minus_1) / (alpha - 1)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,12 @@
 
 IDX binary readers/writers for the MNIST-family files, a CSV loader for
 tabular classification data (optional header, integer class label in the
-last column), seeded synthetic generators, train/eval splitting, and
-Poisson subsampling.
+last column, parsed by numpy's C reader), seeded synthetic generators,
+train/eval splitting, and Poisson subsampling.
+
+IDX pixels are read as bytes. `load_idx` widens them to float64 in [0, 1]
+at once; a training run splits the byte rows first and widens each split
+once, so the full float64 matrix is never built.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ IDX_LABELS_MAGIC = 0x00000801
 class LabeledDataset:
     """Immutable (features, labels) pair.
 
-    Image sources arrive normalized to [0, 1]. Classification labels are
-    integer class indices; regression targets are floats.
+    Image sources arrive normalized to [0, 1] float64, except the uint8
+    pixel rows of `read_idx`, which are split as bytes and then `widen`ed.
+    Classification labels are integer class indices; regression targets are
+    floats.
     """
 
     features: np.ndarray
@@ -70,8 +76,9 @@ def _read_exact(f, count, path):
     return data
 
 
-def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Read an images/labels IDX pair into a flat [0,1]-scaled dataset."""
+def read_idx(images_path, labels_path) -> LabeledDataset:
+    """Read an images/labels IDX pair as flat uint8 pixel rows; `widen`
+    turns them into features."""
     with open(images_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, images_path))
         if magic != IDX_IMAGES_MAGIC:
@@ -86,9 +93,22 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         labels = np.frombuffer(_read_exact(f, n_labels, labels_path), dtype=np.uint8)
     if n != n_labels:
         raise CountMismatchError(f"{n} images vs {n_labels} labels")
-    features = pixels.reshape(n, rows * cols).astype(np.float64)
+    return LabeledDataset(features=pixels.reshape(n, rows * cols), labels=labels.astype(np.int64))
+
+
+def widen(dataset: LabeledDataset) -> LabeledDataset:
+    """uint8 pixel rows scaled to float64 in [0, 1]; other features pass
+    through unchanged."""
+    if dataset.features.dtype != np.uint8:
+        return dataset
+    features = dataset.features.astype(np.float64)
     features /= 255.0
-    return LabeledDataset(features=features, labels=labels.astype(np.int64))
+    return LabeledDataset(features=features, labels=dataset.labels)
+
+
+def load_idx(images_path, labels_path) -> LabeledDataset:
+    """Read an images/labels IDX pair into a flat [0,1]-scaled dataset."""
+    return widen(read_idx(images_path, labels_path))
 
 
 def save_idx(dataset: LabeledDataset, images_path, labels_path, rows: int, cols: int):
@@ -104,28 +124,33 @@ def save_idx(dataset: LabeledDataset, images_path, labels_path, rows: int, cols:
         f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
+def _is_numeric(record) -> bool:
+    try:
+        return bool([float(v) for v in record])
+    except ValueError:
+        return False
+
+
 def load_csv(path) -> LabeledDataset:
     """Comma-separated numeric table, integer class label in the last column.
 
-    A header row is detected (first cell not parseable as a number) and
-    skipped.
+    Blank and non-numeric rows before the first numeric row are a header
+    and skipped; numpy's C reader parses the rest.
     """
-    rows = []
-    with open(path, newline="") as f:
-        for record in csv.reader(f):
-            if not record:
-                continue
-            try:
-                rows.append([float(v) for v in record])
-            except ValueError:
-                if rows:
-                    raise DataFileError(f"{path}: non-numeric row {record}") from None
-                # header row
-    if not rows:
+    table = None
+    try:
+        with open(path) as f:
+            reader = csv.reader(f)
+            if any(_is_numeric(record) for record in reader):
+                f.seek(0)
+                table = np.loadtxt(
+                    f, delimiter=",", ndmin=2, skiprows=reader.line_num - 1,
+                    comments=None, quotechar='"',
+                )
+    except (ValueError, csv.Error) as exc:
+        raise DataFileError(f"{path}: {exc}") from None
+    if table is None:
         raise DataFileError(f"{path}: no data rows")
-    if len({len(r) for r in rows}) != 1:
-        raise DataFileError(f"{path}: rows differ in length")
-    table = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(table)):
         raise DataFileError(f"{path}: non-finite value")
     labels = table[:, -1]

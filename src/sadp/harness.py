@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accountant, annealer, data, dp_optimizer, models
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, NonFiniteParametersError
 
 EPS_SENTINEL_ITERS = 10_000_000
 
@@ -151,7 +151,8 @@ TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterationRecord)]
 def _load_splits(config: TrainConfig):
     """Returns (train set, energy-evaluation set, test set)."""
     if config.dataset == "idx":
-        train = data.load_idx(config.idx_train_images, config.idx_train_labels)
+        # pixel bytes: split first, then each split is widened once below
+        train = data.read_idx(config.idx_train_images, config.idx_train_labels)
         test = (
             data.load_idx(config.idx_test_images, config.idx_test_labels)
             if config.idx_test_images
@@ -183,6 +184,7 @@ def _load_splits(config: TrainConfig):
         eval_set = test
     else:
         train, eval_set = data.split(train, config.eval_fraction, config.seed)
+    train, eval_set = data.widen(train), data.widen(eval_set)
     if train.n == 0 or eval_set.n == 0:
         raise InvalidConfigError(
             f"empty split: {train.n} training and {eval_set.n} evaluation rows"
@@ -238,7 +240,9 @@ def train(config: TrainConfig):
     noise_policy = dp_optimizer.NoisePolicy(config.sigma, config.lot_size)
     sampler = data.SamplerConfig(q=q)
 
-    energy, cur_acc = models.evaluate(spec, w, eval_set.features, eval_set.labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy, cur_acc = models.evaluate(spec, w, eval_set.features, eval_set.labels)
+    _check_energy(energy, "at the initial parameters")
     state = annealer.AnnealerState.initial(
         config.q0, config.mu0, energy=energy, clamp_tau_floor=config.clamp_tau_floor
     )
@@ -255,11 +259,13 @@ def train(config: TrainConfig):
         g_tilde = dp_optimizer.noisy_average(
             clipped_sum, noise_policy, config.clip_norm, noise_rng
         )
-        w_new = dp_optimizer.sgd_step(w, g_tilde, config.eta)
-
-        new_energy, new_acc = models.evaluate(
-            spec, w_new, eval_set.features, eval_set.labels
-        )
+        # overflow surfaces as non-finite parameters (evaluate raises) or a
+        # non-finite energy (rejected, or raised below once applied)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_new = dp_optimizer.sgd_step(w, g_tilde, config.eta)
+            new_energy, new_acc = models.evaluate(
+                spec, w_new, eval_set.features, eval_set.labels
+            )
         delta_e = new_energy - state.energy
 
         if config.method == "sa_dpsgd":
@@ -267,6 +273,7 @@ def train(config: TrainConfig):
         else:
             decision = annealer.Decision(accepted=True, forced=False, probability=1.0)
         if decision.accepted:
+            _check_energy(new_energy, f"at applied candidate {state.t + 1}")
             w = w_new
             cur_acc = new_acc
         state = annealer.advance(state, decision, new_energy)
@@ -288,6 +295,11 @@ def train(config: TrainConfig):
 
     final_spend = accountant.spend(acct.with_tau(state.tau), config.tight_conversion)
     return w, final_spend, records
+
+
+def _check_energy(energy: float, where: str) -> None:
+    if not math.isfinite(energy):
+        raise NonFiniteParametersError(f"the run diverged: non-finite energy {energy} {where}")
 
 
 def _fmt(value) -> str:

@@ -42,6 +42,24 @@ class TestRdpPerStep:
         assert math.isfinite(got)
         assert got == pytest.approx(golden_rdp[(0.01, 0.5, 64)], rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "q,sigma", [(1e-4, 4.0), (1e-4, 0.8), (1e-3, 8.0), (MNIST_Q, 1.23), (0.01, 2.0), (0.05, 0.6)]
+    )
+    def test_full_relative_precision_at_small_q(self, q, sigma):
+        # the moment sum is 1 + O(q^2); a plain log of it loses ~1e-10 here
+        mpmath = pytest.importorskip("mpmath")
+        got = AccountantState(q=q, sigma=sigma, delta=1e-5).rdp
+        with mpmath.workprec(240):
+            mq, two_var = mpmath.mpf(q), 2 * mpmath.mpf(sigma) ** 2
+            for alpha, value in zip(DEFAULT_ALPHA_GRID, got):
+                moment = mpmath.fsum(
+                    mpmath.binomial(alpha, k) * (1 - mq) ** (alpha - k) * mq**k
+                    * mpmath.exp((k * k - k) / two_var)
+                    for k in range(alpha + 1)
+                )
+                expected = float(mpmath.log(moment) / (alpha - 1))
+                assert abs(value - expected) <= 1e-12 * expected, alpha
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("alpha", [2, 3, 17, 64])
     def test_analytic_limit_across_orders(self, sigma, alpha):

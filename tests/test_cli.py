@@ -1,4 +1,5 @@
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -204,12 +205,31 @@ def test_malformed_data_file_exits_4(tmp_path, capsys, data_keys):
     assert "Traceback" not in err
 
 
-def test_diverged_run_exits_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MLP_CFG + "eta = 1e308\nsigma = 1000\n")
-    err = assert_exits_2_without_traceback(
-        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    )
+SYNTH_LINEAR_CFG = (CONFIGS / "synth_linear.cfg").read_text()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        MLP_CFG + "eta = 1e308\nsigma = 1000\n",
+        # finite parameters whose energy overflows, after an update or at once
+        SYNTH_LINEAR_CFG + "method = dpsgd\neta = 1e200\n",
+        SYNTH_LINEAR_CFG + "method = sa_dpsgd\neta = 1e200\n",
+        SYNTH_LINEAR_CFG + "method = dpsgd\nsynth_weights = 1e200,1e200\n",
+        SYNTH_LINEAR_CFG + "method = sa_dpsgd\nsynth_weights = 1e200,1e200\n",
+    ],
+    ids=["params", "energy_dpsgd", "energy_sa_dpsgd", "initial_dpsgd", "initial_sa_dpsgd"],
+)
+def test_diverged_run_exits_2(tmp_path, capsys, text):
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        # no overflow warning may come ahead of the error line
+        warnings.simplefilter("error")
+        err = assert_exits_2_without_traceback(
+            capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
     assert "non-finite" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("seeds", [",", "a"], ids=["no_seeds", "non_integer_seed"])

@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import numpy as np
@@ -187,6 +188,34 @@ class TestLoadCsv:
         assert ds.labels.dtype == np.int64
         np.testing.assert_array_equal(ds.features, [[1.0], [2.0]])
         np.testing.assert_array_equal(ds.labels, [2, 0])
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("blank_lines", [False, True])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_matches_python_float_parse(self, tmp_path, header, newline, blank_lines, padded):
+        rng = np.random.default_rng(0)
+        values = rng.normal(0.0, 10.0 ** rng.integers(-12, 12, size=(60, 4)))
+        formats = (repr, "{:.6e}".format, "{:.3f}".format, "{:g}".format)
+        pad = " " if padded else ""
+        lines = ["x1, x2 ,x3,x4,label"] if header else []
+        for i, row in enumerate(values):
+            cells = [formats[(i + j) % 4](float(v)) for j, v in enumerate(row)] + [str(i % 3)]
+            lines.append(",".join(f"{pad}{c}{pad}" for c in cells))
+            if blank_lines and i % 7 == 0:
+                lines.append("")
+        p = tmp_path / "t.csv"
+        p.write_bytes(newline.join(lines).encode() + newline.encode())
+
+        # oracle: csv.reader, then float() on every cell
+        with open(p, newline="") as f:
+            records = [r for r in csv.reader(f) if r][int(header):]
+        table = np.asarray([[float(v) for v in r] for r in records], dtype=np.float64)
+
+        ds = load_csv(p)
+        assert ds.features.tobytes() == table[:, :-1].tobytes()
+        np.testing.assert_array_equal(ds.labels, table[:, -1].astype(np.int64))
+        assert ds.labels.dtype == np.int64
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "t.csv"

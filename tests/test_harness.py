@@ -3,13 +3,15 @@ import math
 import os
 import pathlib
 import re
+import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sadp import accountant, harness, models
+from sadp import accountant, data, harness, models
 from sadp.harness import (
     TRACE_COLUMNS,
     InvalidConfigError,
@@ -160,6 +162,18 @@ class TestTrain:
         assert len(records) < 100_000
         assert records[-1].tau == 149  # charged-step cap for q=1/18, sigma=2
 
+    def test_sa_dpsgd_rejects_non_finite_candidates_until_one_is_forced(self):
+        # every candidate's energy overflows; mu0 = 10 voluntary rejections
+        # come first, and the 11th candidate is forced, applied and raised
+        cfg = dataclasses.replace(LINREG_CFG, eta=1e200, max_iters=10)
+        _, _, records = train(cfg)
+        assert [(r.accepted, r.forced, r.P, r.delta_E) for r in records] == [
+            (False, False, 0.0, math.inf)
+        ] * 10
+        assert records[-1].tau == 0 and math.isfinite(records[-1].eval_loss)
+        with pytest.raises(harness.NonFiniteParametersError, match="candidate 11"):
+            train(dataclasses.replace(cfg, max_iters=11))
+
     def test_budget_below_floor_raises(self):
         cfg = dataclasses.replace(LINREG_CFG, eps_budget=0.01)
         with pytest.raises(accountant.BudgetInfeasibleError):
@@ -290,6 +304,68 @@ class TestClassification:
         cfg = dataclasses.replace(LINREG_CFG, clamp_tau_floor=True, max_iters=50)
         _, _, records = train(cfg)
         assert all(r.Q >= cfg.q0 for r in records)
+
+
+def write_random_idx(path_prefix, n, dim, seed):
+    """An IDX pair of n random byte images of dim pixels and 10 classes."""
+    rng = np.random.default_rng(seed)
+    images, labels = pathlib.Path(f"{path_prefix}-images"), pathlib.Path(f"{path_prefix}-labels")
+    images.write_bytes(
+        struct.pack(">IIII", 0x803, n, 1, dim) + rng.integers(0, 256, n * dim, dtype=np.uint8).tobytes()
+    )
+    labels.write_bytes(struct.pack(">II", 0x801, n) + rng.integers(0, 10, n, dtype=np.uint8).tobytes())
+    return str(images), str(labels)
+
+
+class TestIdxSplits:
+    @pytest.mark.parametrize(
+        "n, eval_fraction, seed", [(2, 0.5, 1), (10, 0.1, 0), (37, 0.3, 5), (500, 0.1, 2), (1000, 0.75, 9)]
+    )
+    def test_held_out_split_equals_split_of_loaded_floats(self, tmp_path, n, eval_fraction, seed):
+        images, labels = write_random_idx(tmp_path / "train", n, 12, seed)
+        cfg = TrainConfig(
+            dataset="idx", idx_train_images=images, idx_train_labels=labels,
+            eval_fraction=eval_fraction, seed=seed,
+        )
+        expected = data.split(data.load_idx(images, labels), eval_fraction, seed)
+        train_set, eval_set, test_set = harness._load_splits(cfg)
+        assert test_set is None
+        for got, want in zip((train_set, eval_set), expected):
+            assert got.features.dtype == np.float64 and got.features.flags.c_contiguous
+            assert got.features.tobytes() == want.features.tobytes()
+            np.testing.assert_array_equal(got.labels, want.labels)
+            assert got.labels.dtype == want.labels.dtype
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_test_split_equals_loaded_floats(self, tmp_path, seed):
+        train_files = write_random_idx(tmp_path / "train", 50, 12, seed)
+        test_files = write_random_idx(tmp_path / "test", 20, 12, seed + 1)
+        cfg = TrainConfig(
+            dataset="idx", eval_set="test", seed=seed,
+            idx_train_images=train_files[0], idx_train_labels=train_files[1],
+            idx_test_images=test_files[0], idx_test_labels=test_files[1],
+        )
+        got = harness._load_splits(cfg)
+        expected = (data.load_idx(*train_files), data.load_idx(*test_files), data.load_idx(*test_files))
+        for g, want in zip(got, expected):
+            assert g.features.dtype == np.float64 and g.features.flags.c_contiguous
+            assert g.features.tobytes() == want.features.tobytes()
+            np.testing.assert_array_equal(g.labels, want.labels)
+
+    def test_held_out_split_never_holds_the_full_float_matrix(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; the two float64 splits
+        # alone are 1.0x the full float64 matrix
+        n, dim = 20_000, 784
+        images, labels = write_random_idx(tmp_path / "train", n, dim, 0)
+        cfg = TrainConfig(dataset="idx", idx_train_images=images, idx_train_labels=labels)
+        tracemalloc.start()
+        try:
+            splits = harness._load_splits(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(ds.n for ds in splits[:2]) == n
+        assert peak < 1.25 * n * dim * 8
 
 
 def test_train_and_compare_demo_prints_both_methods():
