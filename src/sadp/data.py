@@ -6,8 +6,9 @@ last column, parsed by numpy's C reader), seeded synthetic generators,
 train/eval splitting, and Poisson subsampling.
 
 IDX pixels are read as bytes. `load_idx` widens them to float64 in [0, 1]
-at once; a training run splits the byte rows first and widens each split
-once, so the full float64 matrix is never built.
+at once; a training run keeps its training rows as bytes and `widen`s only
+the energy-evaluation split (once) and each Poisson batch, so no float64
+copy of the training matrix is ever built.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ IDX_LABELS_MAGIC = 0x00000801
 class LabeledDataset:
     """Immutable (features, labels) pair.
 
-    Image sources arrive normalized to [0, 1] float64, except the uint8
-    pixel rows of `read_idx`, which are split as bytes and then `widen`ed.
+    Features are float64, except the uint8 pixel rows of `read_idx`, which
+    stay bytes until `widen` scales them to [0, 1]. Float features must be
+    finite; integer ones cannot be otherwise and are not scanned.
     Classification labels are integer class indices; regression targets are
     floats.
     """
@@ -42,7 +44,7 @@ class LabeledDataset:
             raise CountMismatchError(
                 f"{len(self.features)} feature rows vs {len(self.labels)} labels"
             )
-        if not np.all(np.isfinite(self.features)):
+        if self.features.dtype.kind not in "iu" and not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite values")
 
     @property
@@ -96,19 +98,21 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
     return LabeledDataset(features=pixels.reshape(n, rows * cols), labels=labels.astype(np.int64))
 
 
-def widen(dataset: LabeledDataset) -> LabeledDataset:
-    """uint8 pixel rows scaled to float64 in [0, 1]; other features pass
-    through unchanged."""
-    if dataset.features.dtype != np.uint8:
-        return dataset
-    features = dataset.features.astype(np.float64)
-    features /= 255.0
-    return LabeledDataset(features=features, labels=dataset.labels)
+def widen(features: np.ndarray) -> np.ndarray:
+    """uint8 pixel rows as a new C-contiguous float64 array in [0, 1]; float
+    features pass through unchanged. Widening a gathered batch of rows gives
+    bitwise the same floats as gathering them from a widened matrix."""
+    if features.dtype != np.uint8:
+        return features
+    wide = features.astype(np.float64)
+    wide /= 255.0
+    return wide
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
     """Read an images/labels IDX pair into a flat [0,1]-scaled dataset."""
-    return widen(read_idx(images_path, labels_path))
+    pixels = read_idx(images_path, labels_path)
+    return LabeledDataset(features=widen(pixels.features), labels=pixels.labels)
 
 
 def save_idx(dataset: LabeledDataset, images_path, labels_path, rows: int, cols: int):

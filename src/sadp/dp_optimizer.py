@@ -72,14 +72,19 @@ def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
     """Sum of a batch's clipped per-example gradients, shape (n_params,).
 
     Equals clip_batch(models.per_example_losses_grads(...)[1]).sum(0) up to
-    float summation order; an empty batch sums to zeros.
+    float summation order; an empty batch sums to zeros. A non-finite factor
+    entry makes its example's norm non-finite, so the factors are scanned
+    only then; finite factors whose norm overflows get scale 0.
     """
-    _, factors = models._backprop(spec, w, X, y)
-    if not all(np.isfinite(a).all() for layer in factors for a in layer):
+    with np.errstate(over="ignore", invalid="ignore"):   # inf * 0 is checked below
+        _, factors = models._backprop(spec, w, X, y)
+        sq_norms = sum(
+            (np.einsum("ij,ij->j", h, h) + 1.0) * np.einsum("ij,ij->j", d, d) for h, d in factors
+        )
+    if not np.isfinite(sq_norms).all() and not all(
+        np.isfinite(a).all() for layer in factors for a in layer
+    ):
         raise NonFiniteInputError("layer inputs or gradients have non-finite entries")
-    sq_norms = sum(
-        (np.einsum("ij,ij->j", h, h) + 1.0) * np.einsum("ij,ij->j", d, d) for h, d in factors
-    )
     scale = _clip_scale(np.sqrt(sq_norms), policy)
     chunks = []
     for h_in, delta in factors:

@@ -149,12 +149,12 @@ TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterationRecord)]
 
 
 def _load_splits(config: TrainConfig):
-    """Returns (train set, energy-evaluation set, test set)."""
+    """Returns (train set, energy-evaluation set, test set). Only the
+    evaluation set is widened here; IDX training and test rows stay bytes."""
     if config.dataset == "idx":
-        # pixel bytes: split first, then each split is widened once below
         train = data.read_idx(config.idx_train_images, config.idx_train_labels)
         test = (
-            data.load_idx(config.idx_test_images, config.idx_test_labels)
+            data.read_idx(config.idx_test_images, config.idx_test_labels)
             if config.idx_test_images
             else None
         )
@@ -184,7 +184,7 @@ def _load_splits(config: TrainConfig):
         eval_set = test
     else:
         train, eval_set = data.split(train, config.eval_fraction, config.seed)
-    train, eval_set = data.widen(train), data.widen(eval_set)
+    eval_set = data.LabeledDataset(data.widen(eval_set.features), eval_set.labels)
     if train.n == 0 or eval_set.n == 0:
         raise InvalidConfigError(
             f"empty split: {train.n} training and {eval_set.n} evaluation rows"
@@ -248,13 +248,14 @@ def train(config: TrainConfig):
     )
 
     records: list[IterationRecord] = []
+    eps_tau, epsilon = None, math.nan   # epsilon_so_far changes only with tau
     for _ in range(config.max_iters):
         if max_charged is not None and state.tau >= max_charged:
             break
 
         idx = data.poisson_sample(train_set.n, sampler, sample_rng)
         clipped_sum = dp_optimizer.clipped_grad_sum(
-            spec, w, train_set.features[idx], train_set.labels[idx], clip_policy
+            spec, w, data.widen(train_set.features[idx]), train_set.labels[idx], clip_policy
         )
         g_tilde = dp_optimizer.noisy_average(
             clipped_sum, noise_policy, config.clip_norm, noise_rng
@@ -277,6 +278,8 @@ def train(config: TrainConfig):
             w = w_new
             cur_acc = new_acc
         state = annealer.advance(state, decision, new_energy)
+        if state.tau != eps_tau:
+            eps_tau, epsilon = state.tau, acct.epsilon(state.tau, config.tight_conversion)
         records.append(
             IterationRecord(
                 t=state.t,
@@ -289,7 +292,7 @@ def train(config: TrainConfig):
                 forced=decision.forced,
                 eval_loss=state.energy,
                 eval_accuracy=math.nan if cur_acc is None else cur_acc,
-                epsilon_so_far=acct.epsilon(state.tau, config.tight_conversion),
+                epsilon_so_far=epsilon,
             )
         )
 

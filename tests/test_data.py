@@ -17,6 +17,7 @@ from sadp.data import (
     split,
     synth_blobs,
     synth_linear,
+    widen,
 )
 
 
@@ -229,3 +230,14 @@ def test_dataset_invariants():
         LabeledDataset(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         LabeledDataset(np.array([[np.inf]]), np.zeros(1))
+    pixels = np.array([[0, 255], [7, 128]], dtype=np.uint8)
+    assert LabeledDataset(pixels, np.zeros(2)).features is pixels
+
+
+def test_widen_scales_bytes_and_passes_floats_through():
+    pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)[::2]
+    wide = widen(pixels)
+    assert wide.dtype == np.float64 and wide.flags.c_contiguous
+    np.testing.assert_array_equal(wide, pixels / 255.0)
+    floats = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    assert widen(floats) is floats

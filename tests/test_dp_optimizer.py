@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,36 @@ class TestClippedGradSum:
             # the materialized path rejects the same batches
             with pytest.raises(NonFiniteInputError):
                 clip_batch(per_example_losses_grads(spec, w, X_, y_)[1], ABADI)
+
+    def test_rejects_infinite_input_whose_output_gradient_is_zero(self):
+        # +inf saturates every tanh unit of row 1, so its first-layer output
+        # gradient is exactly zero and its norm is inf * 0 = nan, not inf
+        spec = ALL_SPECS[2]
+        w = init_params(spec, np.random.default_rng(15))
+        X, y = np.random.default_rng(16).uniform(size=(4, spec.input_dim)), np.arange(4) % 3
+        X[1, 0] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            (h_in, delta), _ = models._backprop(spec, w, X, y)[1]
+        assert np.isinf(h_in[0, 1]) and not delta[:, 1].any()
+        for policy in (ABADI, AUTO_S):
+            with pytest.raises(NonFiniteInputError):
+                clipped_grad_sum(spec, w, X, y, policy)
+
+    def test_finite_input_whose_norm_overflows_contributes_zero(self):
+        spec = ALL_SPECS[1]
+        w = init_params(spec, np.random.default_rng(17))
+        X = np.random.default_rng(18).uniform(size=(5, spec.input_dim))
+        X[2] = 1e200
+        # the row's logits pick one class; labelling it with the other keeps
+        # its output gradient nonzero, so its squared norm is +inf
+        y = np.zeros(5, dtype=int)
+        y[2] = 1 - np.argmax(X[2] @ models.unpack(spec, w)[0][0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = clipped_grad_sum(spec, w, X, y, ABADI)
+            without = clipped_grad_sum(spec, w, np.delete(X, 2, axis=0), np.delete(y, 2), ABADI)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, without, rtol=1e-12, atol=1e-15)
 
 
 def test_error_types_are_shared_across_modules():

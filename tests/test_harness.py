@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sadp import accountant, data, harness, models
+from sadp import accountant, cli, data, harness, models
 from sadp.harness import (
     TRACE_COLUMNS,
     InvalidConfigError,
@@ -317,44 +317,69 @@ def write_random_idx(path_prefix, n, dim, seed):
     return str(images), str(labels)
 
 
+def assert_same_rows(got, want):
+    """Bitwise equal features of the same dtype, C-contiguous; equal labels."""
+    assert got.features.dtype == want.features.dtype and got.features.flags.c_contiguous
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.labels.dtype == want.labels.dtype
+
+
+def widened(dataset):
+    return data.LabeledDataset(data.widen(dataset.features), dataset.labels)
+
+
 class TestIdxSplits:
     @pytest.mark.parametrize(
         "n, eval_fraction, seed", [(2, 0.5, 1), (10, 0.1, 0), (37, 0.3, 5), (500, 0.1, 2), (1000, 0.75, 9)]
     )
-    def test_held_out_split_equals_split_of_loaded_floats(self, tmp_path, n, eval_fraction, seed):
+    def test_held_out_training_rows_stay_bytes(self, tmp_path, n, eval_fraction, seed):
         images, labels = write_random_idx(tmp_path / "train", n, 12, seed)
         cfg = TrainConfig(
             dataset="idx", idx_train_images=images, idx_train_labels=labels,
             eval_fraction=eval_fraction, seed=seed,
         )
-        expected = data.split(data.load_idx(images, labels), eval_fraction, seed)
         train_set, eval_set, test_set = harness._load_splits(cfg)
         assert test_set is None
-        for got, want in zip((train_set, eval_set), expected):
-            assert got.features.dtype == np.float64 and got.features.flags.c_contiguous
-            assert got.features.tobytes() == want.features.tobytes()
-            np.testing.assert_array_equal(got.labels, want.labels)
-            assert got.labels.dtype == want.labels.dtype
+        byte_train, _ = data.split(data.read_idx(images, labels), eval_fraction, seed)
+        float_train, float_eval = data.split(data.load_idx(images, labels), eval_fraction, seed)
+        assert_same_rows(train_set, byte_train)
+        assert_same_rows(eval_set, float_eval)
+        # all rows, a Poisson batch and an empty batch widen to the float rows
+        rng = np.random.default_rng(seed)
+        batch = data.poisson_sample(train_set.n, data.SamplerConfig(q=0.3), rng)
+        for idx in (np.arange(train_set.n), batch, np.array([], dtype=np.intp)):
+            assert_same_rows(
+                data.LabeledDataset(data.widen(train_set.features[idx]), train_set.labels[idx]),
+                data.LabeledDataset(float_train.features[idx], float_train.labels[idx]),
+            )
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_test_split_equals_loaded_floats(self, tmp_path, seed):
+    def test_test_split_is_widened_only_as_the_eval_set(self, tmp_path, seed):
         train_files = write_random_idx(tmp_path / "train", 50, 12, seed)
         test_files = write_random_idx(tmp_path / "test", 20, 12, seed + 1)
-        cfg = TrainConfig(
-            dataset="idx", eval_set="test", seed=seed,
+        paths = dict(
             idx_train_images=train_files[0], idx_train_labels=train_files[1],
             idx_test_images=test_files[0], idx_test_labels=test_files[1],
         )
-        got = harness._load_splits(cfg)
-        expected = (data.load_idx(*train_files), data.load_idx(*test_files), data.load_idx(*test_files))
-        for g, want in zip(got, expected):
-            assert g.features.dtype == np.float64 and g.features.flags.c_contiguous
-            assert g.features.tobytes() == want.features.tobytes()
-            np.testing.assert_array_equal(g.labels, want.labels)
+        train_set, eval_set, test_set = harness._load_splits(
+            TrainConfig(dataset="idx", eval_set="test", seed=seed, **paths)
+        )
+        assert_same_rows(train_set, data.read_idx(*train_files))
+        assert_same_rows(widened(train_set), data.load_idx(*train_files))
+        assert_same_rows(eval_set, data.load_idx(*test_files))
+        assert_same_rows(test_set, data.read_idx(*test_files))
+        # with a held-out split the test pair is never widened
+        _, eval_set, test_set = harness._load_splits(
+            TrainConfig(dataset="idx", eval_set="held_out", seed=seed, **paths)
+        )
+        assert eval_set.n == 5
+        assert_same_rows(test_set, data.read_idx(*test_files))
 
     def test_held_out_split_never_holds_the_full_float_matrix(self, tmp_path):
-        # numpy reports its buffers to tracemalloc; the two float64 splits
-        # alone are 1.0x the full float64 matrix
+        # numpy reports its buffers to tracemalloc; the bytes read plus their
+        # split are 0.25x the float64 matrix, the widened eval split 0.1x
         n, dim = 20_000, 784
         images, labels = write_random_idx(tmp_path / "train", n, dim, 0)
         cfg = TrainConfig(dataset="idx", idx_train_images=images, idx_train_labels=labels)
@@ -365,7 +390,55 @@ class TestIdxSplits:
         finally:
             tracemalloc.stop()
         assert sum(ds.n for ds in splits[:2]) == n
-        assert peak < 1.25 * n * dim * 8
+        assert peak < 0.5 * n * dim * 8
+
+    def test_training_never_holds_a_float_training_matrix(self, tmp_path):
+        n, dim = 20_000, 784
+        images, labels = write_random_idx(tmp_path / "train", n, dim, 1)
+        cfg = TrainConfig(
+            dataset="idx", idx_train_images=images, idx_train_labels=labels,
+            model="mlp", layer_widths=(16,), lot_size=512, eps_budget=None, max_iters=5,
+        )
+        tracemalloc.start()
+        try:
+            _, _, records = train(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 5
+        assert peak < 0.5 * n * dim * 8
+
+
+class TestByteResidentExactness:
+    """A run on byte rows widened per batch writes the same files as the
+    same run on float64-resident rows (data.read_idx widened at once)."""
+
+    @pytest.mark.parametrize("extra", [
+        "model = softmax_regression\n",
+        "model = mlp\nlayer_widths = 16\n",
+        "model = mlp\nlayer_widths = 8\nclip_kind = auto_s\neval_set = test\n",
+    ], ids=["softmax", "mlp", "mlp-auto_s-test"])
+    def test_float_resident_rows_give_identical_outputs(self, tmp_path, monkeypatch, extra):
+        train_files = write_random_idx(tmp_path / "train", 600, 49, 4)
+        test_files = write_random_idx(tmp_path / "test", 120, 49, 5)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "dataset = idx\n"
+            f"idx_train_images = {train_files[0]}\nidx_train_labels = {train_files[1]}\n"
+            f"idx_test_images = {test_files[0]}\nidx_test_labels = {test_files[1]}\n"
+            "lot_size = 64\neta = 1.0\nclip_norm = 0.5\nsigma = 0.8\n"
+            "eps_budget = none\nmax_iters = 80\nseed = 2\n" + extra
+        )
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "bytes")]) == 0
+        read_idx = data.read_idx
+        monkeypatch.setattr(data, "read_idx", lambda *paths: widened(read_idx(*paths)))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "floats")]) == 0
+        for name in ("trace.csv", "final.params"):
+            got = (tmp_path / "bytes" / name).read_bytes()
+            assert got == (tmp_path / "floats" / name).read_bytes()
+        # the run screened candidates: some accepted, some rejected
+        records = read_trace(tmp_path / "bytes" / "trace.csv")
+        assert 0 < records[-1].tau < records[-1].t == 80
 
 
 def test_train_and_compare_demo_prints_both_methods():
