@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: import it with sadp, not in a run's setup
 
 from .errors import BadMagicError, CountMismatchError, DataFileError, TruncatedFileError
 

@@ -74,17 +74,19 @@ def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
     Equals clip_batch(models.per_example_losses_grads(...)[1]).sum(0) up to
     float summation order; an empty batch sums to zeros. A non-finite factor
     entry makes its example's norm non-finite, so the factors are scanned
-    only then; finite factors whose norm overflows get scale 0.
+    only then; finite factors whose norm overflows get scale 0, except in a
+    layer whose output gradient is exactly zero, which adds 0 to the norm.
     """
     with np.errstate(over="ignore", invalid="ignore"):   # inf * 0 is checked below
         _, factors = models._backprop(spec, w, X, y)
-        sq_norms = sum(
-            (np.einsum("ij,ij->j", h, h) + 1.0) * np.einsum("ij,ij->j", d, d) for h, d in factors
-        )
-    if not np.isfinite(sq_norms).all() and not all(
-        np.isfinite(a).all() for layer in factors for a in layer
-    ):
-        raise NonFiniteInputError("layer inputs or gradients have non-finite entries")
+        parts = [(np.einsum("ij,ij->j", h, h) + 1.0, np.einsum("ij,ij->j", d, d)) for h, d in factors]
+        sq_norms = sum(h_sq * d_sq for h_sq, d_sq in parts)
+        if not np.isfinite(sq_norms).all():
+            if not all(np.isfinite(a).all() for layer in factors for a in layer):
+                raise NonFiniteInputError("layer inputs or gradients have non-finite entries")
+            # finite factors: an overflowing input norm times an output
+            # gradient of exactly zero is a layer gradient of exactly zero
+            sq_norms = sum(np.where(d_sq == 0.0, 0.0, h_sq * d_sq) for h_sq, d_sq in parts)
     scale = _clip_scale(np.sqrt(sq_norms), policy)
     chunks = []
     for h_in, delta in factors:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: import it with sadp, not in a run's setup
 
 from . import accountant, annealer, data, dp_optimizer, models
 from .errors import InvalidConfigError, NonFiniteParametersError

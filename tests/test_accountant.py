@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sadp import accountant
 from sadp.accountant import (
     DEFAULT_ALPHA_GRID,
     AccountantState,
@@ -21,6 +22,35 @@ from sadp.accountant import (
 )
 
 MNIST_Q = 512 / 60000
+
+
+def _mpmath_rdp(q, sigma, alpha):
+    """Per-step RDP at one order in 240-bit arithmetic, and the relative
+    error float64 evaluation may make there.
+
+    Each term of the moment sum is exp of k log q + (alpha-k) log(1-q) +
+    c_k + log C(alpha, k); rounding each piece costs about an ulp of its
+    magnitude, and where k log q and c_k nearly cancel that is far more
+    than an ulp of the term. The bound is 4 ulps of the terms' magnitudes,
+    weighted by their share of A - 1 and carried through log1p, plus 4 ulps.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(240):
+        mq, two_var = mpmath.mpf(q), 2 * mpmath.mpf(sigma) ** 2
+        log_q, log_1mq = mpmath.log(mq), mpmath.log1p(-mq)
+        terms = [
+            (
+                math.comb(alpha, k) * mpmath.exp((alpha - k) * log_1mq + k * log_q)
+                * mpmath.expm1((k * k - k) / two_var),
+                -k * log_q - (alpha - k) * log_1mq + (k * k - k) / two_var
+                + math.log(math.comb(alpha, k)),
+            )
+            for k in range(2, alpha + 1)
+        ]
+        a_minus_1 = mpmath.fsum(t for t, _ in terms)
+        log_a = mpmath.log1p(a_minus_1)
+        magnitude = mpmath.fsum(t * m for t, m in terms) / (1 + a_minus_1) / log_a
+        return float(log_a / (alpha - 1)), float(4 * 2.0**-53 * (magnitude + 1))
 
 
 class TestRdpPerStep:
@@ -43,22 +73,24 @@ class TestRdpPerStep:
         assert got == pytest.approx(golden_rdp[(0.01, 0.5, 64)], rel=1e-6)
 
     @pytest.mark.parametrize(
-        "q,sigma", [(1e-4, 4.0), (1e-4, 0.8), (1e-3, 8.0), (MNIST_Q, 1.23), (0.01, 2.0), (0.05, 0.6)]
+        "q,sigma",
+        [
+            (1e-4, 4.0), (1e-4, 0.8), (1e-3, 8.0), (MNIST_Q, 1.23), (0.01, 2.0), (0.05, 0.6),
+            (0.2, 0.4), (0.3, 8.0), (0.5, 1.0), (0.9, 3.0),
+        ],
     )
     def test_full_relative_precision_at_small_q(self, q, sigma):
-        # the moment sum is 1 + O(q^2); a plain log of it loses ~1e-10 here
-        mpmath = pytest.importorskip("mpmath")
+        # the moment sum is 1 + O(q^2); a plain log of it loses ~1e-10 here,
+        # and log-gamma binomials err by up to ~5 times the bound below
         got = AccountantState(q=q, sigma=sigma, delta=1e-5).rdp
-        with mpmath.workprec(240):
-            mq, two_var = mpmath.mpf(q), 2 * mpmath.mpf(sigma) ** 2
-            for alpha, value in zip(DEFAULT_ALPHA_GRID, got):
-                moment = mpmath.fsum(
-                    mpmath.binomial(alpha, k) * (1 - mq) ** (alpha - k) * mq**k
-                    * mpmath.exp((k * k - k) / two_var)
-                    for k in range(alpha + 1)
-                )
-                expected = float(mpmath.log(moment) / (alpha - 1))
-                assert abs(value - expected) <= 1e-12 * expected, alpha
+        for alpha, value in zip(DEFAULT_ALPHA_GRID, got):
+            expected, bound = _mpmath_rdp(q, sigma, alpha)
+            assert abs(value - expected) <= bound * expected, alpha
+
+    @pytest.mark.parametrize("q,sigma", [(0.01, 1.0), (MNIST_Q, 1.23), (0.5, 2.0)])
+    def test_off_grid_order_matches_mpmath(self, q, sigma):
+        expected, bound = _mpmath_rdp(q, sigma, 100)
+        assert abs(rdp_per_step(q, sigma, 100) - expected) <= bound * expected
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("alpha", [2, 3, 17, 64])
@@ -88,6 +120,13 @@ class TestRdpPerStep:
     def test_rejects_bad_parameters(self, q, sigma, alpha):
         with pytest.raises(InvalidParameterError):
             rdp_per_step(q, sigma, alpha)
+
+
+def test_log_sum_exp_counts_tied_maxima_and_keeps_infinite_columns():
+    terms = np.array([[0.0, 1.0, -np.inf], [0.0, -np.inf, -np.inf], [-1.0, 1.0, -np.inf]])
+    got = accountant._logsumexp_down(terms)
+    np.testing.assert_allclose(got[:2], [math.log(2 + math.exp(-1)), 1 + math.log(2)], rtol=1e-15)
+    assert got[2] == -np.inf
 
 
 @pytest.mark.parametrize("tight, convert", [(False, rdp_to_dp), (True, rdp_to_dp_tight)])

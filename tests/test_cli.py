@@ -1,4 +1,8 @@
+import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -285,3 +289,28 @@ def test_privacy_rejects_bad_parameters(capsys):
         ["privacy", "--q", "2.0", "--sigma", "1.0", "--delta", "1e-5", "--tau", "1"]
     )
     assert code == cli.EXIT_INVALID_CONFIG
+
+
+def test_runs_on_numpy_alone(tmp_path):
+    # scipy would cost every process ~19 MiB and ~0.1 s of import; numpy
+    # loads numpy.random lazily, and sadp imports it so that its load never
+    # falls inside a timed training run
+    script = f"""
+import json, sys
+import sadp
+random_at_import = "numpy.random" in sys.modules
+from sadp import cli
+rc = [
+    cli.main(["privacy", "--q", "0.01", "--sigma", "1.1", "--delta", "1e-5", "--tau", "100"]),
+    cli.main(["train", "--config", {str(CONFIGS / "synth_linear.cfg")!r}, "--out", {str(tmp_path)!r}]),
+]
+scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({{"rc": rc, "random_at_import": random_at_import, "scipy": scipy}}))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")},
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result == {"rc": [0, 0], "random_at_import": True, "scipy": []}

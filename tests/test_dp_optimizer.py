@@ -17,7 +17,7 @@ from sadp.dp_optimizer import (
     noisy_average,
     sgd_step,
 )
-from sadp.models import init_params, per_example_losses_grads
+from sadp.models import ModelSpec, init_params, per_example_losses_grads
 from test_models import ALL_SPECS
 
 ABADI = ClipPolicy("abadi", clip_norm=1.0)
@@ -186,6 +186,31 @@ class TestClippedGradSum:
             without = clipped_grad_sum(spec, w, np.delete(X, 2, axis=0), np.delete(y, 2), ABADI)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, without, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("policy", [ABADI, AUTO_S], ids=lambda p: p.kind)
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec("softmax_regression", 4, 3), ModelSpec("mlp", 4, 3, layer_widths=(5,))],
+        ids=spec_id,
+    )
+    def test_overflowing_input_with_zero_output_gradient_matches_oracle(self, spec, policy):
+        # row 2 is 1e200 everywhere: its softmax is exactly one-hot on its
+        # own label, or it saturates every tanh unit, so its first-layer
+        # output gradient is exactly zero and inf * 0 = nan in its norm
+        w = init_params(spec, np.random.default_rng(19))
+        X = np.random.default_rng(20).uniform(size=(5, spec.input_dim))
+        X[2] = 1e200
+        y = np.arange(5) % 3
+        if spec.architecture == "softmax_regression":
+            y[2] = np.argmax(X[2] @ models.unpack(spec, w)[0][0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (h_in, delta), *_ = models._backprop(spec, w, X, y)[1]
+            expected = clip_batch(per_example_losses_grads(spec, w, X, y)[1], policy).sum(axis=0)
+            got = clipped_grad_sum(spec, w, X, y, policy)
+        assert not delta[:, 2].any() and np.isinf(np.einsum("ij,ij->j", h_in, h_in)[2])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_error_types_are_shared_across_modules():
