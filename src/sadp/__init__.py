@@ -19,6 +19,6 @@ from .annealer import (
 from .data import LabeledDataset, SamplerConfig, load_csv, load_idx, poisson_sample, split, synth_blobs, synth_linear
 from .dp_optimizer import ClipPolicy, NoisePolicy, clip_batch, clipped_grad_sum, noisy_average, sgd_step
 from .harness import IterationRecord, TrainConfig, compare, emit_trace, load_config, train
-from .models import ModelSpec, evaluate, init_params, per_example_losses_grads
+from .models import Batch, ModelSpec, evaluate, init_params, per_example_losses_grads, to_batch
 
 __version__ = "0.1.0"

@@ -147,9 +147,13 @@ class AccountantState:
 
 @dataclass(frozen=True)
 class PrivacySpend:
+    """(epsilon, delta) over the charged steps, epsilon's best order, and
+    epsilon_computed over every computed release, charged or not."""
+
     epsilon: float
     delta: float
     best_alpha: int
+    epsilon_computed: float
 
 
 def rdp_per_step(q: float, sigma: float, alpha: int) -> float:
@@ -190,16 +194,24 @@ def rdp_to_dp_tight(alpha, rdp_eps, delta: float):
     return np.maximum(rdp_eps + _tail(alpha, delta, tight=True), 0.0)
 
 
-def spend(state: AccountantState, tight_conversion: bool = False) -> PrivacySpend:
+def spend(
+    state: AccountantState, tight_conversion: bool = False, computed: int | None = None
+) -> PrivacySpend:
     """Total (epsilon, delta) after state.tau charged iterations.
 
     Minimizes over the order grid; ties break toward the first order.
+    `computed` counts every noisy release a run computed (at least tau);
+    epsilon_computed composes them all, and is epsilon when computed is
+    None, i.e. when every computed release is charged.
     """
     eps = state.epsilons(state.tau, tight_conversion)
     best = int(np.argmin(eps))
     return PrivacySpend(
         epsilon=float(eps[best]), delta=state.delta,
         best_alpha=DEFAULT_ALPHA_GRID[best],
+        epsilon_computed=(
+            float(eps[best]) if computed is None else state.epsilon(computed, tight_conversion)
+        ),
     )
 
 

@@ -9,7 +9,7 @@ consecutive rejections forces an acceptance before the chain can stall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,8 +107,8 @@ def advance(
     else:
         tau, mu, energy = state.tau, state.mu + 1, state.energy
     effective_tau = max(tau, 1) if state.clamp_tau_floor else tau
-    return replace(
-        state, t=state.t + 1, tau=tau, mu=mu,
-        Q=state.Q0 * effective_tau, energy=energy,
+    return AnnealerState(
+        state.t + 1, tau, mu, state.Q0 * effective_tau,
+        state.Q0, state.mu0, energy, state.clamp_tau_floor,
     )
 

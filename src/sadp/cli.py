@@ -66,7 +66,8 @@ def _cmd_train(args) -> int:
         f"{config.method}: {len(records)} iterations, "
         f"final loss {records[-1].eval_loss:.6f}, "
         f"epsilon {spend.epsilon:.4f} (alpha={spend.best_alpha}, "
-        f"delta={spend.delta})"
+        f"delta={spend.delta}) over tau={records[-1].tau} charged, "
+        f"{spend.epsilon_computed:.4f} over all t={len(records)} computed"
     )
     return EXIT_OK
 

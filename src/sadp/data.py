@@ -6,9 +6,10 @@ last column, parsed by numpy's C reader), seeded synthetic generators,
 train/eval splitting, and Poisson subsampling.
 
 IDX pixels are read as bytes. `load_idx` widens them to float64 in [0, 1]
-at once; a training run keeps its training rows as bytes and `widen`s only
-the energy-evaluation split (once) and each Poisson batch, so no float64
-copy of the training matrix is ever built.
+at once; a training run keeps its rows as bytes, and `models.to_batch`
+widens the energy-evaluation split (once) and each Poisson batch straight
+into their feature-major model inputs, so no float64 copy of the training
+matrix is ever built.
 """
 
 from __future__ import annotations
@@ -99,15 +100,21 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
     return LabeledDataset(features=pixels.reshape(n, rows * cols), labels=labels.astype(np.int64))
 
 
-def widen(features: np.ndarray) -> np.ndarray:
-    """uint8 pixel rows as a new C-contiguous float64 array in [0, 1]; float
-    features pass through unchanged. Widening a gathered batch of rows gives
-    bitwise the same floats as gathering them from a widened matrix."""
-    if features.dtype != np.uint8:
-        return features
-    wide = features.astype(np.float64)
-    wide /= 255.0
-    return wide
+def widen(features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Features as float64, uint8 pixel rows scaled to [0, 1]: an exact cast,
+    then one correctly rounded division by 255, so every element is the same
+    float whatever the layout it is written in. With `out` (any layout, e.g.
+    the transpose of a feature-major buffer) the result is written there;
+    without it uint8 rows widen into a new C-contiguous array and float
+    features pass through unchanged."""
+    if out is None:
+        if features.dtype != np.uint8:
+            return features
+        out = np.empty(features.shape)
+    np.copyto(out, features)
+    if features.dtype == np.uint8:
+        out /= 255.0
+    return out
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:

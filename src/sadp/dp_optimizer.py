@@ -1,10 +1,12 @@
 """Privatized gradient pipeline: per-example clipping, Gaussian noising
 of the summed gradient, and the plain SGD update.
 
-Training never materializes per-example gradients: for a dense layer's input
-H (fan_in, n) and output gradient D (fan_out, n), example i's gradient
-outer(H[:, i], D[:, i]) has squared norm |H[:, i]|^2 |D[:, i]|^2 (+ |D[:, i]|^2
-for the bias), and the clipped sum H (D * s).T is in packed weight order.
+Training never materializes per-example gradients. A dense layer's factors
+are its input H (fan_in + 1, n), whose last row of ones carries the bias,
+and its output gradient D (fan_out, n); example i's [W; b] gradient
+outer(H[:, i], D[:, i]) has squared norm |H[:, i]|^2 |D[:, i]|^2, and the
+clipped sum H (D * s).T is the layer's (fan_in + 1, fan_out) slice of the
+packed vector, weights then biases.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def clip_batch(grads: np.ndarray, policy: ClipPolicy) -> np.ndarray:
 
 
 def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
-    """Sum of a batch's clipped per-example gradients, shape (n_params,).
+    """Sum of a batch's clipped per-example gradients, shape (n_params,), for
+    row-major features X (uint8 pixel rows are widened) and targets y.
 
     Equals clip_batch(models.per_example_losses_grads(...)[1]).sum(0) up to
     float summation order; an empty batch sums to zeros. A non-finite factor
@@ -78,8 +81,8 @@ def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
     layer whose output gradient is exactly zero, which adds 0 to the norm.
     """
     with np.errstate(over="ignore", invalid="ignore"):   # inf * 0 is checked below
-        _, factors = models._backprop(spec, w, X, y)
-        parts = [(np.einsum("ij,ij->j", h, h) + 1.0, np.einsum("ij,ij->j", d, d)) for h, d in factors]
+        factors = models._backprop(spec, w, models.to_batch(spec, X, y))
+        parts = [(np.einsum("ij,ij->j", h, h), np.einsum("ij,ij->j", d, d)) for h, d in factors]
         sq_norms = sum(h_sq * d_sq for h_sq, d_sq in parts)
         if not np.isfinite(sq_norms).all():
             if not all(np.isfinite(a).all() for layer in factors for a in layer):
@@ -88,11 +91,7 @@ def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
             # gradient of exactly zero is a layer gradient of exactly zero
             sq_norms = sum(np.where(d_sq == 0.0, 0.0, h_sq * d_sq) for h_sq, d_sq in parts)
     scale = _clip_scale(np.sqrt(sq_norms), policy)
-    chunks = []
-    for h_in, delta in factors:
-        scaled = delta * scale
-        chunks += [(h_in @ scaled.T).ravel(), scaled.sum(axis=1)]
-    return np.concatenate(chunks)
+    return np.concatenate([(h @ (delta * scale).T).ravel() for h, delta in factors])
 
 
 def noisy_average(

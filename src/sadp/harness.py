@@ -150,8 +150,8 @@ TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterationRecord)]
 
 
 def _load_splits(config: TrainConfig):
-    """Returns (train set, energy-evaluation set, test set). Only the
-    evaluation set is widened here; IDX training and test rows stay bytes."""
+    """Returns (train set, energy-evaluation set, test set) as read: IDX rows
+    stay bytes, and `train` lays the evaluation set out feature-major."""
     if config.dataset == "idx":
         train = data.read_idx(config.idx_train_images, config.idx_train_labels)
         test = (
@@ -185,7 +185,6 @@ def _load_splits(config: TrainConfig):
         eval_set = test
     else:
         train, eval_set = data.split(train, config.eval_fraction, config.seed)
-    eval_set = data.LabeledDataset(data.widen(eval_set.features), eval_set.labels)
     if train.n == 0 or eval_set.n == 0:
         raise InvalidConfigError(
             f"empty split: {train.n} training and {eval_set.n} evaluation rows"
@@ -216,12 +215,16 @@ def _model_spec(config: TrainConfig, train: data.LabeledDataset, *others) -> mod
 def train(config: TrainConfig):
     """Run one experiment; returns (final w, PrivacySpend, records).
 
-    Only applied updates are charged, tau of them. With method=sa_dpsgd,
-    every candidate passes the annealed acceptance test; with method=dpsgd
-    every candidate is applied, so tau = t.
+    Only applied updates are charged, tau of them; the spend's
+    epsilon_computed composes all t computed candidates. With
+    method=sa_dpsgd, every candidate passes the annealed acceptance test;
+    with method=dpsgd every candidate is applied, so tau = t.
     """
     train_set, eval_set, test_set = _load_splits(config)
     spec = _model_spec(config, train_set, eval_set, test_set)
+    # the evaluation rows live on only as the run's feature-major Batch
+    eval_batch = models.to_batch(spec, eval_set.features, eval_set.labels)
+    del eval_set, test_set
 
     q = min(config.lot_size / train_set.n, 1.0)
     acct = accountant.AccountantState(q=q, sigma=config.sigma, delta=config.delta)
@@ -242,7 +245,7 @@ def train(config: TrainConfig):
     sampler = data.SamplerConfig(q=q)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        energy, cur_acc = models.evaluate(spec, w, eval_set.features, eval_set.labels)
+        energy, cur_acc = models.evaluate(spec, w, eval_batch)
     _check_energy(energy, "at the initial parameters")
     state = annealer.AnnealerState.initial(
         config.q0, config.mu0, energy=energy, clamp_tau_floor=config.clamp_tau_floor
@@ -256,7 +259,7 @@ def train(config: TrainConfig):
 
         idx = data.poisson_sample(train_set.n, sampler, sample_rng)
         clipped_sum = dp_optimizer.clipped_grad_sum(
-            spec, w, data.widen(train_set.features[idx]), train_set.labels[idx], clip_policy
+            spec, w, train_set.features[idx], train_set.labels[idx], clip_policy
         )
         g_tilde = dp_optimizer.noisy_average(
             clipped_sum, noise_policy, config.clip_norm, noise_rng
@@ -265,9 +268,7 @@ def train(config: TrainConfig):
         # non-finite energy (rejected, or raised below once applied)
         with np.errstate(over="ignore", invalid="ignore"):
             w_new = dp_optimizer.sgd_step(w, g_tilde, config.eta)
-            new_energy, new_acc = models.evaluate(
-                spec, w_new, eval_set.features, eval_set.labels
-            )
+            new_energy, new_acc = models.evaluate(spec, w_new, eval_batch)
         delta_e = new_energy - state.energy
 
         if config.method == "sa_dpsgd":
@@ -297,7 +298,9 @@ def train(config: TrainConfig):
             )
         )
 
-    final_spend = accountant.spend(acct.with_tau(state.tau), config.tight_conversion)
+    final_spend = accountant.spend(
+        acct.with_tau(state.tau), config.tight_conversion, computed=state.t
+    )
     return w, final_spend, records
 
 
@@ -314,11 +317,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# _fmt's formatter for each trace column, picked once from its field's type
+_TRACE_FORMATTERS = [
+    {bool: lambda v: "true" if v else "false", float: lambda v: repr(float(v)), int: str}[hint]
+    for hint in typing.get_type_hints(IterationRecord).values()
+]
+
+
 def emit_trace(records, path) -> None:
     """One CSV row per iteration, columns in IterationRecord order."""
     lines = [",".join(TRACE_COLUMNS)]
     for r in records:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in TRACE_COLUMNS))
+        lines.append(",".join(f(v) for f, v in zip(_TRACE_FORMATTERS, vars(r).values())))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

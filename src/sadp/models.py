@@ -3,20 +3,26 @@
 Three architectures: linear regression under squared error, softmax
 regression and an MLP under cross-entropy. Parameters live in a single
 flat float64 vector packed layer by layer, weights before biases, which is
-what the privatized optimizer consumes.
+what the privatized optimizer consumes; a layer's slice reshaped to
+(fan_in + 1, fan_out) is [W; b], a view.
 
-Activations are feature-major, (width, n): softmax reductions run across
-classes, vectorized over examples. Backprop yields each layer's input and
-output gradient; the outer product of their i-th columns is example i's.
+Activations are feature-major with the bias folded in: every layer input is
+a C-contiguous (fan_in + 1, n) float64 matrix whose last row is ones, so a
+layer is one GEMM [W; b].T @ [h; 1]. A Batch holds the first such input
+(built by to_batch) with the labels' gather index. Backprop yields each
+layer's input and output gradient; the outer product of their i-th columns
+is example i's [W; b] gradient.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import data
 from .errors import DimensionMismatchError, EmptyDatasetError, NonFiniteParametersError
 
 CHECKPOINT_MAGIC = b"SADP"
@@ -28,6 +34,8 @@ MLP = "mlp"
 
 BOUNDED_TANH = "bounded_tanh"
 RECTIFIER = "rectifier"
+
+MAX_LOSS = -math.log(1e-300)      # cross-entropy of a label probability of 1e-300
 
 
 @dataclass(frozen=True)
@@ -74,86 +82,123 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def unpack(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat vector -> [(W, b), ...] with W of shape (fan_in, fan_out)."""
+def _weights(spec: ModelSpec, w: np.ndarray) -> list[np.ndarray]:
+    """Flat vector -> [[W; b], ...]: each layer's slice is W (fan_in, fan_out)
+    then b, so reshaped to (fan_in + 1, fan_out) it is [W; b], a view."""
     if len(w) != spec.n_params:
         raise DimensionMismatchError(
             f"expected {spec.n_params} parameters, got {len(w)}"
         )
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NonFiniteParametersError("parameter vector has non-finite entries")
-    layers = []
-    offset = 0
+    layers, offset = [], 0
     for fan_in, fan_out in spec.layer_dims:
-        W = w[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = w[offset : offset + fan_out]
-        offset += fan_out
-        layers.append((W, b))
+        size = (fan_in + 1) * fan_out
+        layers.append(w[offset : offset + size].reshape(fan_in + 1, fan_out))
+        offset += size
     return layers
 
 
-def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
-    """(outputs (k, n), layers, layer inputs [(fan_in, n), ...]); the first
-    input is X.T, a view of the row-major batch, and later ones are computed
-    as W.T @ h with the bias add and the activation done in place."""
-    layers = unpack(spec, w)
-    h, inputs = X.T, []
-    for i, (W, b) in enumerate(layers):
-        inputs.append(h)
-        h = W.T @ h
-        h += b[:, None]
-        if i < len(layers) - 1 and spec.activation == BOUNDED_TANH:
-            np.tanh(h, out=h)
-        elif i < len(layers) - 1:
-            np.maximum(h, 0.0, out=h)
-    return h, layers, inputs
+@dataclass(frozen=True)
+class Batch:
+    """n examples laid out for the forward pass.
+
+    inputs is (input_dim + 1, n) float64, C-contiguous, its last row ones;
+    targets are float regression targets or intp class labels, (n,); picks
+    are the flat indices labels * n + arange(n) of each example's label in
+    C-contiguous (k, n) outputs (classification only).
+    """
+
+    inputs: np.ndarray
+    targets: np.ndarray
+    picks: np.ndarray | None
+
+    def __len__(self) -> int:
+        return self.inputs.shape[1]
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Softmax cross-entropy per example (n,) and class probabilities (k, n)
-    of (k, n) logits; max and sum run across classes, vectorized over n."""
-    probs = logits - logits.max(axis=0)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=0)
-    return -np.log(np.clip(probs[labels, np.arange(len(labels))], 1e-300, None)), probs
-
-
-def _check_batch(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
-    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+def to_batch(spec: ModelSpec, X, y) -> Batch:
+    """A Batch of row-major (n, input_dim) features X and targets y; uint8
+    pixel rows are widened to [0, 1] straight into the inputs."""
+    X, y = np.asarray(X), np.asarray(y)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise DimensionMismatchError(f"features must be (n, {spec.input_dim}), got {X.shape}")
     if len(y) != len(X):
         raise DimensionMismatchError("feature/target row counts differ")
-    return X, y
-
-
-def _backprop(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Losses (n,) and per-layer factors [(h_in (fan_in, n), delta (fan_out, n)), ...]
-    in packing order: example i's weight gradient is outer(h_in[:, i],
-    delta[:, i]) and its bias gradient delta[:, i]. Losses are 0.5 * (pred -
-    y)^2 for linear regression and softmax cross-entropy for classification.
-    """
-    X, y = _check_batch(spec, X, y)
-    out, layers, inputs = _forward(spec, w, X)
-
+    inputs = np.empty((spec.input_dim + 1, len(X)))
+    data.widen(X, out=inputs[:-1].T)
+    inputs[-1] = 1.0
     if spec.architecture == LINEAR_REGRESSION:
-        delta = out - np.asarray(y, dtype=np.float64)   # dL/d(out), (1, n)
-        losses = 0.5 * delta[0] ** 2
+        return Batch(inputs, y.astype(np.float64), None)
+    labels = y.astype(np.intp)
+    return Batch(inputs, labels, labels * len(labels) + np.arange(len(labels)))
+
+
+def _forward(spec: ModelSpec, w: np.ndarray, h: np.ndarray):
+    """(outputs (k, n), layer inputs [(fan_in + 1, n), ...], [W; b] views) of
+    a batch's inputs h: each layer is one GEMM [W; b].T @ [h; 1], written for
+    a hidden layer into a fresh input whose last row is ones, then activated
+    in place."""
+    layers = _weights(spec, w)
+    inputs = [h]
+    for Wb in layers[:-1]:
+        h = np.empty((Wb.shape[1] + 1, h.shape[1]))
+        h[-1] = 1.0
+        a = np.matmul(Wb.T, inputs[-1], out=h[:-1])
+        if spec.activation == BOUNDED_TANH:
+            np.tanh(a, out=a)
+        else:
+            np.maximum(a, 0.0, out=a)
+        inputs.append(h)
+    return layers[-1].T @ h, inputs, layers
+
+
+def _losses(spec: ModelSpec, out: np.ndarray, batch: Batch):
+    """Per-example losses (n,) of outputs (k, n), which it overwrites, and
+    for classification the (k, n) mask of each column's largest logits.
+
+    Squared error 0.5 * (pred - y)^2 for regression. Cross-entropy is
+    log sum exp(z - m) - (z_y - m) with m the column max, the one max pass
+    that also marks the predicted classes, capped at -log(1e-300) (a
+    label probability floored at 1e-300).
+    """
+    if spec.architecture == LINEAR_REGRESSION:
+        return 0.5 * (out[0] - batch.targets) ** 2, None
+    m = out.max(axis=0)
+    top = out == m
+    label_margin = out.reshape(-1)[batch.picks] - m
+    out -= m
+    np.exp(out, out=out)
+    losses = np.log(out.sum(axis=0))
+    losses -= label_margin
+    return np.minimum(losses, MAX_LOSS, out=losses), top
+
+
+def _backprop(spec: ModelSpec, w: np.ndarray, batch: Batch):
+    """Per-layer factors [(h (fan_in + 1, n), delta (fan_out, n)), ...] in
+    packing order: example i's [W; b] gradient is outer(h[:, i], delta[:, i]),
+    the loss gradient of 0.5 * (pred - y)^2 for linear regression and of
+    softmax cross-entropy for classification."""
+    out, inputs, layers = _forward(spec, w, batch.inputs)
+    if spec.architecture == LINEAR_REGRESSION:
+        delta = out - batch.targets                     # dL/d(out), (1, n)
     else:
-        labels = np.asarray(y, dtype=np.intp)
-        losses, delta = _cross_entropy(out, labels)
-        delta[labels, np.arange(len(labels))] -= 1.0    # (k, n)
+        delta = out
+        delta -= delta.max(axis=0)
+        np.exp(delta, out=delta)
+        delta /= delta.sum(axis=0)
+        delta.reshape(-1)[batch.picks] -= 1.0           # (k, n)
 
     factors = [None] * len(layers)
     for i in reversed(range(len(layers))):
-        a = inputs[i]
-        factors[i] = (a, delta)
+        h = inputs[i]
+        factors[i] = (h, delta)
         if i > 0:
             # both activation derivatives are functions of the output a
-            delta = layers[i][0] @ delta
+            a = h[:-1]
+            delta = layers[i][:-1] @ delta
             delta *= 1.0 - a * a if spec.activation == BOUNDED_TANH else a > 0
-    return losses, factors
+    return factors
 
 
 def per_example_losses_grads(
@@ -161,29 +206,30 @@ def per_example_losses_grads(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Losses (n,) and gradients (n, n_params), one row per example: the
     test oracle for dp_optimizer.clipped_grad_sum, which training uses."""
-    losses, factors = _backprop(spec, w, X, y)
+    batch = to_batch(spec, X, y)
+    losses, _ = _losses(spec, _forward(spec, w, batch.inputs)[0], batch)
     return losses, np.hstack(
-        [np.hstack([np.einsum("in,jn->nij", h, d).reshape(len(losses), -1), d.T]) for h, d in factors]
+        [np.einsum("in,jn->nij", h, d).reshape(len(batch), -1) for h, d in _backprop(spec, w, batch)]
     )
 
 
-def evaluate(
-    spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> tuple[float, float | None]:
-    """(mean loss, accuracy); accuracy is None for regression."""
-    X, y = _check_batch(spec, X, y)
-    if len(X) == 0:
+def evaluate(spec: ModelSpec, w: np.ndarray, batch: Batch) -> tuple[float, float | None]:
+    """(mean loss, accuracy) on a Batch; accuracy is None for regression."""
+    if len(batch) == 0:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
-    out, _, _ = _forward(spec, w, X)
-    if spec.architecture == LINEAR_REGRESSION:
-        return float(np.mean(0.5 * (out[0] - np.asarray(y, dtype=np.float64)) ** 2)), None
-    labels = np.asarray(y, dtype=np.intp)
-    losses, _ = _cross_entropy(out, labels)
-    # argmax(axis=0) is slow; ranking maximal classes k..1 keeps its lowest-index tie rule
-    k = len(out)
-    ranks = (out == out.max(axis=0)) * np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
-    acc = np.count_nonzero(ranks.max(axis=0) == k - labels) / len(labels)
-    return float(np.mean(losses)), float(acc)
+    out, _, _ = _forward(spec, w, batch.inputs)
+    losses, top = _losses(spec, out, batch)
+    loss = float(np.mean(losses))
+    if top is None:
+        return loss, None
+    correct = top.reshape(-1)[batch.picks]
+    if np.count_nonzero(top) != len(batch) or not math.isfinite(loss):
+        # a tied (or NaN) column: argmax's lowest-index rule, ranking the
+        # maximal classes k..1, since argmax(axis=0) is slow
+        k = len(top)
+        ranks = top * np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+        correct = ranks.max(axis=0) == k - batch.targets
+    return loss, int(np.count_nonzero(correct)) / len(batch)
 
 
 def save_checkpoint(path, w: np.ndarray) -> None:

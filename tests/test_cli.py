@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -56,6 +57,31 @@ def test_train_writes_trace_and_checkpoint(tmp_path, capsys):
     assert (out / "trace.csv").exists()
     assert (out / "final.params").exists()
     assert "epsilon" in capsys.readouterr().out
+
+
+SUMMARY = re.compile(
+    r"^(\w+): (\d+) iterations, final loss \S+, epsilon (\S+) \(alpha=\d+, delta=\S+\) "
+    r"over tau=(\d+) charged, (\S+) over all t=(\d+) computed$"
+)
+
+
+@pytest.mark.parametrize("method", ["sa_dpsgd", "dpsgd"])
+def test_train_prints_charged_and_computed_epsilon(tmp_path, capsys, method):
+    # 180 training rows after the held-out split and lot_size 20: q = 1/9;
+    # a large step makes the screen reject some candidates
+    text = SMALL_CFG.replace("sa_dpsgd", method).replace("25", "60") + "eta = 5\n"
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    got, n, eps_tau, tau, eps_t, t = SUMMARY.match(line).groups()
+    assert got == method and int(n) == int(t) == 60
+    state = accountant.AccountantState(q=20 / 180, sigma=1.0, delta=1e-5)
+    assert eps_tau == f"{state.epsilon(int(tau)):.4f}" and eps_t == f"{state.epsilon(60):.4f}"
+    if method == "dpsgd":
+        assert int(tau) == 60 and eps_t == eps_tau
+    else:
+        # the screen rejected candidates, each computed but not charged
+        assert int(tau) < 60 and float(eps_t) > float(eps_tau)
 
 
 def test_train_seed_override_changes_trace(tmp_path):

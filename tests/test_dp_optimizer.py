@@ -134,6 +134,18 @@ class TestClippedGradSum:
             assert np.linalg.norm(full - swapped) <= 2 * c * (1 + 1e-12)
             assert np.linalg.norm(full - dropped) <= c * (1 + 1e-12)
 
+    @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.architecture != "linear_regression"], ids=spec_id)
+    def test_byte_rows_sum_bitwise_like_their_float_rows(self, spec):
+        # pixel bytes are widened into the model inputs as bytes / 255
+        rng = np.random.default_rng(23)
+        w = init_params(spec, rng)
+        pixels = rng.integers(0, 256, size=(33, spec.input_dim), dtype=np.uint8)
+        y = rng.integers(spec.output_dim, size=33)
+        floats = pixels.astype(np.float64)
+        floats /= 255.0
+        got = clipped_grad_sum(spec, w, pixels, y, ABADI)
+        assert got.tobytes() == clipped_grad_sum(spec, w, floats, y, ABADI).tobytes()
+
     def test_empty_batch_sums_to_zero(self):
         spec = ALL_SPECS[4]
         w = init_params(spec, np.random.default_rng(13))
@@ -165,7 +177,8 @@ class TestClippedGradSum:
         X, y = np.random.default_rng(16).uniform(size=(4, spec.input_dim)), np.arange(4) % 3
         X[1, 0] = np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            (h_in, delta), _ = models._backprop(spec, w, X, y)[1]
+            (h_in, delta), _ = models._backprop(spec, w, models.to_batch(spec, X, y))
+        assert h_in.shape == (spec.input_dim + 1, 4) and delta.shape == (8, 4)
         assert np.isinf(h_in[0, 1]) and not delta[:, 1].any()
         for policy in (ABADI, AUTO_S):
             with pytest.raises(NonFiniteInputError):
@@ -179,7 +192,7 @@ class TestClippedGradSum:
         # the row's logits pick one class; labelling it with the other keeps
         # its output gradient nonzero, so its squared norm is +inf
         y = np.zeros(5, dtype=int)
-        y[2] = 1 - np.argmax(X[2] @ models.unpack(spec, w)[0][0])
+        y[2] = 1 - np.argmax(X[2] @ models._weights(spec, w)[0][:-1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = clipped_grad_sum(spec, w, X, y, ABADI)
@@ -202,12 +215,13 @@ class TestClippedGradSum:
         X[2] = 1e200
         y = np.arange(5) % 3
         if spec.architecture == "softmax_regression":
-            y[2] = np.argmax(X[2] @ models.unpack(spec, w)[0][0])
+            y[2] = np.argmax(X[2] @ models._weights(spec, w)[0][:-1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (h_in, delta), *_ = models._backprop(spec, w, X, y)[1]
+            (h_in, delta), *_ = models._backprop(spec, w, models.to_batch(spec, X, y))
             expected = clip_batch(per_example_losses_grads(spec, w, X, y)[1], policy).sum(axis=0)
             got = clipped_grad_sum(spec, w, X, y, policy)
+        assert h_in.shape == (5, 5) and delta.shape[1] == 5 and (h_in[-1] == 1.0).all()
         assert not delta[:, 2].any() and np.isinf(np.einsum("ij,ij->j", h_in, h_in)[2])
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

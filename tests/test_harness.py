@@ -330,6 +330,16 @@ def widened(dataset):
     return data.LabeledDataset(data.widen(dataset.features), dataset.labels)
 
 
+def assert_widens_to(rows, floats):
+    """Byte rows laid out as model inputs are bitwise the float rows,
+    transposed, over a last row of ones."""
+    spec = models.ModelSpec("softmax_regression", rows.dim, 10)
+    inputs = models.to_batch(spec, rows.features, rows.labels).inputs
+    assert inputs.dtype == np.float64 and inputs.flags.c_contiguous
+    assert inputs[:-1].tobytes() == np.ascontiguousarray(floats.features.T).tobytes()
+    assert (inputs[-1] == 1.0).all()
+
+
 class TestIdxSplits:
     @pytest.mark.parametrize(
         "n, eval_fraction, seed", [(2, 0.5, 1), (10, 0.1, 0), (37, 0.3, 5), (500, 0.1, 2), (1000, 0.75, 9)]
@@ -342,16 +352,21 @@ class TestIdxSplits:
         )
         train_set, eval_set, test_set = harness._load_splits(cfg)
         assert test_set is None
-        byte_train, _ = data.split(data.read_idx(images, labels), eval_fraction, seed)
+        byte_train, byte_eval = data.split(data.read_idx(images, labels), eval_fraction, seed)
         float_train, float_eval = data.split(data.load_idx(images, labels), eval_fraction, seed)
         assert_same_rows(train_set, byte_train)
-        assert_same_rows(eval_set, float_eval)
+        assert_same_rows(eval_set, byte_eval)
+        assert_widens_to(eval_set, float_eval)
         # all rows, a Poisson batch and an empty batch widen to the float rows
         rng = np.random.default_rng(seed)
         batch = data.poisson_sample(train_set.n, data.SamplerConfig(q=0.3), rng)
         for idx in (np.arange(train_set.n), batch, np.array([], dtype=np.intp)):
             assert_same_rows(
                 data.LabeledDataset(data.widen(train_set.features[idx]), train_set.labels[idx]),
+                data.LabeledDataset(float_train.features[idx], float_train.labels[idx]),
+            )
+            assert_widens_to(
+                data.LabeledDataset(train_set.features[idx], train_set.labels[idx]),
                 data.LabeledDataset(float_train.features[idx], float_train.labels[idx]),
             )
 
@@ -368,7 +383,8 @@ class TestIdxSplits:
         )
         assert_same_rows(train_set, data.read_idx(*train_files))
         assert_same_rows(widened(train_set), data.load_idx(*train_files))
-        assert_same_rows(eval_set, data.load_idx(*test_files))
+        assert_same_rows(eval_set, data.read_idx(*test_files))
+        assert_widens_to(eval_set, data.load_idx(*test_files))
         assert_same_rows(test_set, data.read_idx(*test_files))
         # with a held-out split the test pair is never widened
         _, eval_set, test_set = harness._load_splits(
@@ -439,6 +455,27 @@ class TestByteResidentExactness:
         # the run screened candidates: some accepted, some rejected
         records = read_trace(tmp_path / "bytes" / "trace.csv")
         assert 0 < records[-1].tau < records[-1].t == 80
+
+
+def test_trace_diff_script_checks_decision_columns(tmp_path):
+    root = pathlib.Path(__file__).parent.parent
+    _, _, records = train(dataclasses.replace(LINREG_CFG, max_iters=20))
+    emit_trace(records, tmp_path / "a.csv")
+    emit_trace([dataclasses.replace(r, eval_loss=r.eval_loss * (1 + 4e-16)) for r in records], tmp_path / "b.csv")
+    flipped = dataclasses.replace(records[3], accepted=not records[3].accepted)
+    emit_trace([*records[:3], flipped, *records[4:]], tmp_path / "c.csv")
+
+    def diff(other):
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "trace_diff.py"), str(tmp_path / "a.csv"), str(tmp_path / other)],
+            capture_output=True, text=True, timeout=60,
+        )
+
+    moved = diff("b.csv")
+    assert moved.returncode == 0 and "decision columns identical" in moved.stdout
+    assert re.search(r"^eval_loss: max relative difference [1-9]", moved.stdout, re.M)
+    changed = diff("c.csv")
+    assert changed.returncode == 1 and "accepted: 1 rows differ, first at t=4" in changed.stdout
 
 
 def test_train_and_compare_demo_prints_both_methods():

@@ -17,7 +17,7 @@ from sadp.models import (
     load_checkpoint,
     per_example_losses_grads,
     save_checkpoint,
-    unpack,
+    to_batch,
 )
 
 LINREG = ModelSpec("linear_regression", input_dim=3, output_dim=1)
@@ -131,9 +131,11 @@ class TestActivations:
             spec = ModelSpec("mlp", 5, 3, layer_widths=(16,), activation=activation)
             w = init_params(spec, rng)
             X = rng.normal(size=(20, 5))
-            _, _, inputs = models._forward(spec, w, X)
-            assert inputs[1].shape == (16, 20)
-            assert check(inputs[1])
+            _, inputs, _ = models._forward(spec, w, to_batch(spec, X, np.zeros(20, int)).inputs)
+            # feature-major with the bias's row of ones last
+            assert inputs[1].shape == (17, 20) and inputs[1].flags.c_contiguous
+            np.testing.assert_array_equal(inputs[1][-1], np.ones(20))
+            assert check(inputs[1][:-1])
 
 
 class TestEvaluate:
@@ -143,7 +145,7 @@ class TestEvaluate:
         w = np.zeros(spec.n_params)
         w[: spec.input_dim * 2] = np.tile([20.0, -20.0], spec.input_dim)
         X = np.eye(2, 4) + 1.0  # positive features
-        loss, acc = evaluate(spec, w, X, np.array([0, 0]))
+        loss, acc = evaluate(spec, w, to_batch(spec, X, np.array([0, 0])))
         assert acc == 1.0
         assert loss < 1e-6
 
@@ -153,12 +155,12 @@ class TestEvaluate:
             rng = np.random.default_rng(0)
             X = rng.normal(size=(7, 3))
             y = rng.integers(k, size=7)
-            loss, _ = evaluate(spec, np.zeros(spec.n_params), X, y)
+            loss, _ = evaluate(spec, np.zeros(spec.n_params), to_batch(spec, X, y))
             assert loss == pytest.approx(math.log(k))
 
     def test_regression_reports_no_accuracy(self):
         loss, acc = evaluate(
-            LINREG, np.zeros(LINREG.n_params), np.zeros((3, 3)), np.zeros(3)
+            LINREG, np.zeros(LINREG.n_params), to_batch(LINREG, np.zeros((3, 3)), np.zeros(3))
         )
         assert acc is None
 
@@ -171,9 +173,8 @@ class TestEvaluate:
         w_star, *_ = np.linalg.lstsq(A, ds.labels, rcond=None)
         resid = A @ w_star - ds.labels
         expected = float(np.mean(0.5 * resid**2))
-        loss, _ = evaluate(
-            ModelSpec("linear_regression", 2, 1), w_star, ds.features, ds.labels
-        )
+        spec = ModelSpec("linear_regression", 2, 1)
+        loss, _ = evaluate(spec, w_star, to_batch(spec, ds.features, ds.labels))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.architecture}-{s.activation}")
@@ -185,7 +186,7 @@ class TestEvaluate:
             y = rng.normal(size=50)
         else:
             y = rng.integers(spec.output_dim, size=50)
-        loss, _ = evaluate(spec, w, X, y)
+        loss, _ = evaluate(spec, w, to_batch(spec, X, y))
         losses, _ = per_example_losses_grads(spec, w, X, y)
         assert loss == pytest.approx(losses.mean(), rel=1e-12, abs=0)
 
@@ -193,7 +194,7 @@ class TestEvaluate:
         # zero weights tie every class, and ties go to the lowest index
         spec = ModelSpec("mlp", 3, 4, layer_widths=(5,))
         y = np.array([0, 1, 2, 3, 0, 3, 0, 2])
-        loss, acc = evaluate(spec, np.zeros(spec.n_params), np.ones((8, 3)), y)
+        loss, acc = evaluate(spec, np.zeros(spec.n_params), to_batch(spec, np.ones((8, 3)), y))
         assert acc == 3 / 8
         # plain floats, so trace rows print as numbers
         assert type(loss) is float and type(acc) is float
@@ -207,12 +208,85 @@ class TestEvaluate:
         X = np.ascontiguousarray(wide[::2, : spec.input_dim])
         variants = [X, np.asfortranarray(X), wide[::2, : spec.input_dim]]
         assert not variants[2].flags.c_contiguous and not variants[2].flags.f_contiguous
-        results = [evaluate(spec, w, V, y) for V in variants]
+        results = [evaluate(spec, w, to_batch(spec, V, y)) for V in variants]
         assert results[1] == results[0] and results[2] == results[0]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            evaluate(LINREG, np.zeros(LINREG.n_params), np.zeros((0, 3)), np.zeros(0))
+            evaluate(LINREG, np.zeros(LINREG.n_params), to_batch(LINREG, np.zeros((0, 3)), np.zeros(0)))
+
+
+def logit_model(k):
+    """A softmax model whose logits are its inputs, exactly: [W; b] = [I; 0]."""
+    spec = ModelSpec("softmax_regression", k, k)
+    return spec, np.concatenate([np.eye(k).ravel(), np.zeros(k)])
+
+
+def mp_cross_entropy(logits, labels):
+    """Mean -log softmax in 200-bit mpmath, each loss capped at -log(1e-300)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        losses = [
+            min(
+                mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(v)) for v in z)) - mpmath.mpf(z[y]),
+                mpmath.mpf(-math.log(1e-300)),
+            )
+            for z, y in zip(logits.tolist(), labels.tolist())
+        ]
+        return float(mpmath.fsum(losses) / len(losses))
+
+
+class TestFusedEvaluate:
+    """evaluate's single max pass against a naive per-example oracle."""
+
+    @pytest.mark.parametrize("k, scale", [(2, 1.0), (7, 5.0), (10, 40.0)])
+    def test_random_logits_match_mpmath(self, k, scale):
+        rng = np.random.default_rng(k)
+        logits = rng.normal(scale=scale, size=(300, k))
+        labels = rng.integers(k, size=300)
+        spec, w = logit_model(k)
+        loss, acc = evaluate(spec, w, to_batch(spec, logits, labels))
+        assert loss == pytest.approx(mp_cross_entropy(logits, labels), rel=1e-14, abs=0)
+        assert acc == np.mean(np.argmax(logits, axis=1) == labels)
+
+    def test_exact_ties_go_to_the_first_class(self):
+        logits = np.array([[1.0, 3.0, 3.0, 0.0]] * 4 + [[2.0, 2.0, 2.0, 2.0]] * 4 + [[0.0, 1.0, 2.0, 5.0]])
+        labels = np.array([1, 2, 0, 3, 0, 1, 2, 3, 3])
+        spec, w = logit_model(4)
+        loss, acc = evaluate(spec, w, to_batch(spec, logits, labels))
+        # class 1 wins the first four examples, class 0 the next four
+        assert acc == 3 / 9
+        assert loss == pytest.approx(mp_cross_entropy(logits, labels), rel=1e-14, abs=0)
+
+    def test_clamp_binds_at_a_label_probability_of_1e300(self):
+        spec, w = logit_model(3)
+        far = np.array([[0.0, -800.0, 5.0]])
+        loss, acc = evaluate(spec, w, to_batch(spec, far, np.array([1])))
+        assert loss == -math.log(1e-300) and acc == 0.0
+        logits = np.vstack([far, [[1.0, 2.0, 3.0]], [[-700.0, 0.0, 0.0]]])
+        labels = np.array([1, 2, 0])
+        loss, acc = evaluate(spec, w, to_batch(spec, logits, labels))
+        assert loss == pytest.approx(mp_cross_entropy(logits, labels), rel=1e-14, abs=0)
+        assert acc == 1 / 3
+
+    def test_single_class(self):
+        spec = ModelSpec("softmax_regression", 3, 1)
+        rng = np.random.default_rng(21)
+        w = rng.normal(size=spec.n_params)
+        loss, acc = evaluate(spec, w, to_batch(spec, rng.normal(size=(9, 3)), np.zeros(9, int)))
+        assert loss == 0.0 and acc == 1.0
+
+    def test_linear_regression_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(22)
+        X, y = rng.normal(size=(50, 3)), rng.normal(scale=4.0, size=50)
+        w = rng.normal(size=LINREG.n_params)
+        loss, acc = evaluate(LINREG, w, to_batch(LINREG, X, y))
+        with mpmath.workprec(200):
+            preds = [mpmath.fsum(mpmath.mpf(a) * mpmath.mpf(b) for a, b in zip(x, w[:3])) + w[3] for x in X.tolist()]
+            want = mpmath.fsum((p - t) ** 2 / 2 for p, t in zip(preds, y.tolist())) / len(y)
+        assert acc is None
+        assert loss == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 class TestPacking:
@@ -222,23 +296,25 @@ class TestPacking:
         mlp = ModelSpec("mlp", 784, 10, layer_widths=(128,))
         assert mlp.n_params == 784 * 128 + 128 + 128 * 10 + 10
 
-    def test_unpack_layout_weights_then_biases(self):
+    def test_layout_weights_then_biases(self):
         spec = ModelSpec("mlp", 2, 2, layer_widths=(3,))
         w = np.arange(spec.n_params, dtype=np.float64)
-        (W1, b1), (W2, b2) = unpack(spec, w)
-        np.testing.assert_array_equal(W1, np.arange(6).reshape(2, 3))
-        np.testing.assert_array_equal(b1, [6, 7, 8])
-        np.testing.assert_array_equal(W2, np.arange(9, 15).reshape(3, 2))
-        np.testing.assert_array_equal(b2, [15, 16])
+        # each layer's [W; b] is a (fan_in + 1, fan_out) view of the vector
+        Wb1, Wb2 = models._weights(spec, w)
+        assert Wb1.base is w and Wb2.base is w
+        np.testing.assert_array_equal(Wb1[:-1], np.arange(6).reshape(2, 3))
+        np.testing.assert_array_equal(Wb1[-1], [6, 7, 8])
+        np.testing.assert_array_equal(Wb2[:-1], np.arange(9, 15).reshape(3, 2))
+        np.testing.assert_array_equal(Wb2[-1], [15, 16])
 
     def test_init_is_seeded_and_in_glorot_range(self):
         spec = ModelSpec("mlp", 10, 4, layer_widths=(6,))
         a = init_params(spec, np.random.default_rng(1))
         b = init_params(spec, np.random.default_rng(1))
         np.testing.assert_array_equal(a, b)
-        (W1, b1), _ = unpack(spec, a)
-        assert np.all(np.abs(W1) <= math.sqrt(6 / 16))
-        np.testing.assert_array_equal(b1, np.zeros(6))
+        Wb1, _ = models._weights(spec, a)
+        assert np.all(np.abs(Wb1[:-1]) <= math.sqrt(6 / 16))
+        np.testing.assert_array_equal(Wb1[-1], np.zeros(6))
 
 
 class TestCheckpoints:
