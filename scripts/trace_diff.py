@@ -1,23 +1,29 @@
-"""Compare two `sadp train` traces column by column.
+"""Compare two `sadp train` traces column by column, or two run directories.
 
-    python scripts/trace_diff.py A.csv B.csv
+    python scripts/trace_diff.py A.csv B.csv | RUN_A RUN_B
 
 The decision columns (t, tau, mu, accepted, forced, eval_accuracy,
 epsilon_so_far) must be identical as text; every float column's largest
-relative difference is printed. Exits 1 if a decision column differs, the
-headers differ or the row counts differ, 2 on a usage error, 0 otherwise: a
-change that only moves the last digits of a loss passes and shows by how
-much.
+relative difference is printed. Given two run directories (each the
+`--out` of `sadp train`), it compares their trace.csv files the same way,
+then their final.params: byte-equal, or else the largest relative
+difference of the parameters. Exits 1 if a decision column differs, the
+headers differ, the row counts differ or the parameter counts differ, 2 on
+a usage error, 0 otherwise: a change that only moves the last digits of a
+loss passes and shows by how much.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import struct
 import sys
+from pathlib import Path
 
 IDENTICAL = ("t", "tau", "mu", "accepted", "forced", "eval_accuracy", "epsilon_so_far")
 FLOATS = ("Q", "delta_E", "P", "eval_loss", "eval_accuracy", "epsilon_so_far")
+CHECKPOINT_HEADER = 16  # magic, u32 version, u64 length; little-endian f64s follow
 
 
 def _read(path):
@@ -26,7 +32,7 @@ def _read(path):
     return rows[0], rows[1:]
 
 
-def _rel_diff(a: str, b: str) -> float:
+def _rel_diff(a, b) -> float:
     x, y = float(a), float(b)
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
@@ -35,18 +41,20 @@ def _rel_diff(a: str, b: str) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    (head_a, rows_a), (head_b, rows_b) = _read(args[0]), _read(args[1])
+def _params(path) -> tuple[float, ...]:
+    raw = Path(path).read_bytes()[CHECKPOINT_HEADER:]
+    return struct.unpack_from(f"<{len(raw) // 8}d", raw)
+
+
+def diff_traces(path_a, path_b) -> bool:
+    """Prints the comparison; True if the traces agree in every decision."""
+    (head_a, rows_a), (head_b, rows_b) = _read(path_a), _read(path_b)
     if head_a != head_b:
         print(f"headers differ: {head_a} vs {head_b}")
-        return 1
+        return False
     if len(rows_a) != len(rows_b):
         print(f"row counts differ: {len(rows_a)} vs {len(rows_b)}")
-        return 1
+        return False
     failed = False
     for name in IDENTICAL:
         j = head_a.index(name)
@@ -61,7 +69,34 @@ def main(argv=None) -> int:
         worst = max((_rel_diff(ra[j], rb[j]) for ra, rb in zip(rows_a, rows_b)), default=0.0)
         print(f"{name}: max relative difference {worst:.3g}")
     print(f"{len(rows_a)} rows, decision columns {'DIFFER' if failed else 'identical'}")
-    return 1 if failed else 0
+    return not failed
+
+
+def diff_params(path_a, path_b) -> bool:
+    """Prints the comparison; True if the parameter counts agree."""
+    if Path(path_a).read_bytes() == Path(path_b).read_bytes():
+        print("final.params: byte-equal")
+        return True
+    a, b = _params(path_a), _params(path_b)
+    if len(a) != len(b):
+        print(f"final.params: parameter counts differ: {len(a)} vs {len(b)}")
+        return False
+    worst = max(map(_rel_diff, a, b), default=0.0)
+    print(f"final.params: max relative difference {worst:.3g}")
+    return True
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2 or Path(args[0]).is_dir() != Path(args[1]).is_dir():
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    a, b = map(Path, args)
+    if not a.is_dir():
+        return 0 if diff_traces(a, b) else 1
+    same_traces = diff_traces(a / "trace.csv", b / "trace.csv")
+    same_params = diff_params(a / "final.params", b / "final.params")
+    return 0 if same_traces and same_params else 1
 
 
 if __name__ == "__main__":

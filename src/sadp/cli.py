@@ -86,7 +86,8 @@ def _cmd_compare(args) -> int:
         print(
             f"[{s['config_index']}] {s['method']}: "
             f"acc {s['mean_final_accuracy']:.4f} +/- {s['std_final_accuracy']:.4f}, "
-            f"eps {s['mean_final_epsilon']:.4f}"
+            f"eps {s['mean_final_epsilon']:.4f}, "
+            f"eps(t) {s['mean_final_epsilon_computed']:.4f}"
         )
     return EXIT_OK
 

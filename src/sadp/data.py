@@ -5,16 +5,19 @@ tabular classification data (optional header, integer class label in the
 last column, parsed by numpy's C reader), seeded synthetic generators,
 train/eval splitting, and Poisson subsampling.
 
-IDX pixels are read as bytes. `load_idx` widens them to float64 in [0, 1]
-at once; a training run keeps its rows as bytes, and `models.to_batch`
-widens the energy-evaluation split (once) and each Poisson batch straight
-into their feature-major model inputs, so no float64 copy of the training
-matrix is ever built.
+IDX pixels are mapped read-only from the file as bytes, so an input file
+must not change while a run uses it. `load_idx` widens them to float64 in
+[0, 1] at once; a training run keeps them mapped, `split` carves row indices
+rather than copies, and `models.to_batch` widens the energy-evaluation rows
+(once) and each Poisson batch straight into their feature-major model
+inputs, so no copy of the training matrix is ever built.
 """
 
 from __future__ import annotations
 
 import csv
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 
@@ -32,10 +35,10 @@ class LabeledDataset:
     """Immutable (features, labels) pair.
 
     Features are float64, except the uint8 pixel rows of `read_idx`, which
-    stay bytes until `widen` scales them to [0, 1]. Float features must be
-    finite; integer ones cannot be otherwise and are not scanned.
-    Classification labels are integer class indices; regression targets are
-    floats.
+    stay read-only mapped bytes until `widen` scales them to [0, 1]. Float
+    features must be finite; integer ones cannot be otherwise and are not
+    scanned. Classification labels are integer class indices; regression
+    targets are floats.
     """
 
     features: np.ndarray
@@ -57,12 +60,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        if not np.issubdtype(self.labels.dtype, np.integer):
-            raise ValueError("regression targets have no class count")
-        return int(self.labels.max()) + 1
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -81,14 +78,21 @@ def _read_exact(f, count, path):
 
 
 def read_idx(images_path, labels_path) -> LabeledDataset:
-    """Read an images/labels IDX pair as flat uint8 pixel rows; `widen`
-    turns them into features."""
+    """Read an images/labels IDX pair as flat uint8 pixel rows, mapped
+    read-only from the images file (bytes past the payload are ignored);
+    `widen` turns them into features."""
     with open(images_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, images_path))
         if magic != IDX_IMAGES_MAGIC:
             raise BadMagicError(f"{images_path}: magic {magic:#010x}")
         n, rows, cols = struct.unpack(">III", _read_exact(f, 12, images_path))
-        pixels = np.frombuffer(_read_exact(f, n * rows * cols, images_path), dtype=np.uint8)
+        size = os.fstat(f.fileno()).st_size
+        if size < 16 + n * rows * cols:
+            raise TruncatedFileError(
+                f"{images_path}: expected {16 + n * rows * cols - size} more bytes"
+            )
+        payload = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        pixels = np.frombuffer(payload, dtype=np.uint8, count=n * rows * cols, offset=16)
     with open(labels_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, labels_path))
         if magic != IDX_LABELS_MAGIC:
@@ -203,17 +207,11 @@ def synth_blobs(n: int, n_classes: int, dim: int, seed: int) -> LabeledDataset:
     )
 
 
-def split(
-    dataset: LabeledDataset, eval_fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded shuffle, then carve off floor(n * eval_fraction) for eval."""
+def split(n: int, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train rows, eval rows) of n rows: a seeded shuffle of 0..n-1, the
+    first floor(n * eval_fraction) of it carved off for eval."""
     if not 0.0 < eval_fraction < 1.0:
         raise ValueError("eval_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.n)
-    n_eval = int(dataset.n * eval_fraction)
-    eval_idx, train_idx = perm[:n_eval], perm[n_eval:]
-    return (
-        LabeledDataset(dataset.features[train_idx], dataset.labels[train_idx]),
-        LabeledDataset(dataset.features[eval_idx], dataset.labels[eval_idx]),
-    )
+    perm = np.random.default_rng(seed).permutation(n)
+    n_eval = int(n * eval_fraction)
+    return perm[n_eval:], perm[:n_eval]

@@ -150,20 +150,21 @@ TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterationRecord)]
 
 
 def _load_splits(config: TrainConfig):
-    """Returns (train set, energy-evaluation set, test set) as read: IDX rows
-    stay bytes, and `train` lays the evaluation set out feature-major."""
+    """Returns (dataset as read, its training rows, energy-evaluation set,
+    test set). The training split is a row index into the dataset (IDX
+    pixels stay mapped bytes); only the evaluation rows are gathered, and
+    `train` lays them out feature-major."""
     if config.dataset == "idx":
-        train = data.read_idx(config.idx_train_images, config.idx_train_labels)
+        dataset = data.read_idx(config.idx_train_images, config.idx_train_labels)
         test = (
             data.read_idx(config.idx_test_images, config.idx_test_labels)
             if config.idx_test_images
             else None
         )
     elif config.dataset == "csv":
-        full = data.load_csv(config.csv_path)
-        train, test = data.split(full, config.eval_fraction, config.seed)
+        dataset = data.load_csv(config.csv_path)
     elif config.dataset == "synth_linear":
-        train = data.synth_linear(
+        dataset = data.synth_linear(
             config.synth_n, np.asarray(config.synth_weights),
             config.synth_noise_std, config.synth_seed,
         )
@@ -172,40 +173,50 @@ def _load_splits(config: TrainConfig):
             config.synth_noise_std, config.synth_seed + 1,
         )
     else:
-        train = data.synth_blobs(
+        dataset = data.synth_blobs(
             config.synth_n, config.blob_classes, config.blob_dim, config.synth_seed
         )
         test = data.synth_blobs(
             max(config.synth_n // 5, 1), config.blob_classes, config.blob_dim,
             config.synth_seed + 1,
         )
+    if config.dataset == "csv":
+        train_rows, test_rows = data.split(dataset.n, config.eval_fraction, config.seed)
+        test = _gather(dataset, test_rows)
+    else:
+        train_rows = np.arange(dataset.n)
     if config.eval_set == "test":
         if test is None:
             raise InvalidConfigError("eval_set=test requires a test dataset")
         eval_set = test
     else:
-        train, eval_set = data.split(train, config.eval_fraction, config.seed)
-    if train.n == 0 or eval_set.n == 0:
+        keep, held = data.split(len(train_rows), config.eval_fraction, config.seed)
+        train_rows, eval_set = train_rows[keep], _gather(dataset, train_rows[held])
+    if len(train_rows) == 0 or eval_set.n == 0:
         raise InvalidConfigError(
-            f"empty split: {train.n} training and {eval_set.n} evaluation rows"
+            f"empty split: {len(train_rows)} training and {eval_set.n} evaluation rows"
         )
-    return train, eval_set, test
+    return dataset, train_rows, eval_set, test
 
 
-def _model_spec(config: TrainConfig, train: data.LabeledDataset, *others) -> models.ModelSpec:
-    """The model for the train set; every set's class labels (None skipped)
-    must index its outputs, [0, train class count)."""
-    regression = not np.issubdtype(train.labels.dtype, np.integer)
+def _gather(dataset: data.LabeledDataset, rows: np.ndarray) -> data.LabeledDataset:
+    return data.LabeledDataset(dataset.features[rows], dataset.labels[rows])
+
+
+def _model_spec(config: TrainConfig, dim: int, train_labels, *others) -> models.ModelSpec:
+    """The model for dim features and the training labels; every label array
+    (None skipped) must index its outputs, [0, training class count)."""
+    regression = not np.issubdtype(train_labels.dtype, np.integer)
     if config.model == models.LINEAR_REGRESSION or regression:
         if config.model != models.LINEAR_REGRESSION:
             raise InvalidConfigError("regression targets require model=linear_regression")
-        return models.ModelSpec(models.LINEAR_REGRESSION, train.dim, 1)
+        return models.ModelSpec(models.LINEAR_REGRESSION, dim, 1)
     spec = models.ModelSpec(
-        config.model, train.dim, train.n_classes,
+        config.model, dim, int(train_labels.max()) + 1,
         layer_widths=tuple(config.layer_widths), activation=config.activation,
     )
-    for ds in (train, *others):
-        if ds is not None and np.any((ds.labels < 0) | (ds.labels >= spec.output_dim)):
+    for labels in (train_labels, *others):
+        if labels is not None and np.any((labels < 0) | (labels >= spec.output_dim)):
             raise InvalidConfigError(
                 f"class labels must lie in [0, {spec.output_dim}), the training set's range"
             )
@@ -220,13 +231,16 @@ def train(config: TrainConfig):
     method=sa_dpsgd, every candidate passes the annealed acceptance test;
     with method=dpsgd every candidate is applied, so tau = t.
     """
-    train_set, eval_set, test_set = _load_splits(config)
-    spec = _model_spec(config, train_set, eval_set, test_set)
+    dataset, train_rows, eval_set, test_set = _load_splits(config)
+    spec = _model_spec(
+        config, dataset.dim, dataset.labels[train_rows],
+        eval_set.labels, None if test_set is None else test_set.labels,
+    )
     # the evaluation rows live on only as the run's feature-major Batch
     eval_batch = models.to_batch(spec, eval_set.features, eval_set.labels)
     del eval_set, test_set
 
-    q = min(config.lot_size / train_set.n, 1.0)
+    q = min(config.lot_size / len(train_rows), 1.0)
     acct = accountant.AccountantState(q=q, sigma=config.sigma, delta=config.delta)
     max_charged = None
     if config.eps_budget is not None:
@@ -257,9 +271,9 @@ def train(config: TrainConfig):
         if max_charged is not None and state.tau >= max_charged:
             break
 
-        idx = data.poisson_sample(train_set.n, sampler, sample_rng)
+        rows = train_rows[data.poisson_sample(len(train_rows), sampler, sample_rng)]
         clipped_sum = dp_optimizer.clipped_grad_sum(
-            spec, w, train_set.features[idx], train_set.labels[idx], clip_policy
+            spec, w, dataset.features[rows], dataset.labels[rows], clip_policy
         )
         g_tilde = dp_optimizer.noisy_average(
             clipped_sum, noise_policy, config.clip_norm, noise_rng
@@ -349,14 +363,15 @@ def read_trace(path) -> list[IterationRecord]:
 def compare(configs, seeds):
     """Run every config over every seed; summarize per config.
 
-    Returns a list of dicts with mean/std of final accuracy, final loss and
-    final epsilon.
+    Returns a list of dicts with mean/std of final accuracy, final loss,
+    final epsilon over the tau charged steps and final epsilon over all t
+    computed candidates.
     """
     if not configs or not seeds:
         raise InvalidConfigError("need at least one config and one seed")
     summaries = []
     for i, config in enumerate(configs):
-        accs, losses, epsilons = [], [], []
+        accs, losses, epsilons, computed = [], [], [], []
         for seed in seeds:
             run_cfg = dataclasses.replace(config, seed=int(seed))
             _, spend_, records = train(run_cfg)
@@ -364,6 +379,7 @@ def compare(configs, seeds):
             accs.append(final.eval_accuracy)
             losses.append(final.eval_loss)
             epsilons.append(spend_.epsilon)
+            computed.append(spend_.epsilon_computed)
         summaries.append({
             "config_index": i,
             "method": config.method,
@@ -374,6 +390,8 @@ def compare(configs, seeds):
             "std_final_loss": _nanstd(losses),
             "mean_final_epsilon": _nanmean(epsilons),
             "std_final_epsilon": _nanstd(epsilons),
+            "mean_final_epsilon_computed": _nanmean(computed),
+            "std_final_epsilon_computed": _nanstd(computed),
         })
     return summaries
 

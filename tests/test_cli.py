@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -235,6 +236,41 @@ def test_malformed_data_file_exits_4(tmp_path, capsys, data_keys):
     assert "Traceback" not in err
 
 
+def idx_pair(n: int, extra: bytes = b"") -> tuple[bytes, bytes]:
+    """n random 2x2 images (bytes past the payload appended) and labels in [0, 3)."""
+    rng = np.random.default_rng(n)
+    images = struct.pack(">IIII", 0x803, n, 2, 2) + rng.bytes(4 * n) + extra
+    return images, struct.pack(">II", 0x801, n) + bytes(i % 3 for i in range(n))
+
+
+def test_idx_payload_one_byte_short_exits_4(tmp_path, capsys):
+    images, labels = idx_pair(30)
+    cfg = write_cfg(tmp_path, LABELED_CFG + write_idx(tmp_path, images[:-1], labels))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1 more bytes" in err
+    assert "Traceback" not in err
+
+
+def test_idx_trailing_bytes_are_ignored(tmp_path):
+    outputs = []
+    for extra in (b"", b"trailing bytes"):
+        part = tmp_path / str(len(extra))
+        part.mkdir()
+        cfg = write_cfg(part, LABELED_CFG + write_idx(part, *idx_pair(30, extra)))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(part / "out")]) == 0
+        outputs.append([(part / "out" / name).read_bytes() for name in ("trace.csv", "final.params")])
+    assert outputs[0] == outputs[1]
+
+
+def test_zero_image_idx_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LABELED_CFG + write_idx(tmp_path, *idx_pair(0)))
+    err = assert_exits_2_without_traceback(
+        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+    assert "empty split: 0 training and 0 evaluation rows" in err
+
+
 SYNTH_LINEAR_CFG = (CONFIGS / "synth_linear.cfg").read_text()
 
 
@@ -288,7 +324,13 @@ def test_compare_emits_summaries(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert (out / "summary.csv").exists()
     assert (out / "summary.json").exists()
-    assert capsys.readouterr().out.count("sa_dpsgd") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(
+        re.fullmatch(r"\[\d\] sa_dpsgd: acc \S+ \+/- \S+, eps \S+, eps\(t\) \S+", line)
+        for line in lines
+    )
+    header = (out / "summary.csv").read_text().splitlines()[0].split(",")
+    assert header[-2:] == ["mean_final_epsilon_computed", "std_final_epsilon_computed"]
 
 
 def test_privacy_calculator(capsys):

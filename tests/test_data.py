@@ -13,6 +13,7 @@ from sadp.data import (
     load_csv,
     load_idx,
     poisson_sample,
+    read_idx,
     save_idx,
     split,
     synth_blobs,
@@ -71,6 +72,40 @@ class TestLoadIdx:
         back = load_idx(tmp_path / "i", tmp_path / "l")
         np.testing.assert_allclose(back.features, ds.features, atol=1e-15)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_payload_one_byte_short_rejected(self, tmp_path):
+        imgs, lbls = write_idx_pair(tmp_path, [[1, 2, 3, 4], [5, 6, 7, 8]], [3, 1])
+        imgs.write_bytes(imgs.read_bytes()[:-1])
+        with pytest.raises(TruncatedFileError):
+            read_idx(imgs, lbls)
+
+    def test_trailing_bytes_ignored(self, tmp_path):
+        imgs, lbls = write_idx_pair(tmp_path, [[1, 2, 3, 4], [5, 6, 7, 8]], [3, 1])
+        imgs.write_bytes(imgs.read_bytes() + b"trailing")
+        ds = read_idx(imgs, lbls)
+        np.testing.assert_array_equal(ds.features, [[1, 2, 3, 4], [5, 6, 7, 8]])
+        np.testing.assert_array_equal(ds.labels, [3, 1])
+
+    def test_zero_image_file_reads_as_no_rows(self, tmp_path):
+        imgs, lbls = write_idx_pair(tmp_path, [], [])
+        ds = read_idx(imgs, lbls)
+        assert ds.features.shape == (0, 4) and ds.labels.shape == (0,)
+
+    def test_read_idx_features_are_read_only(self, tmp_path):
+        imgs, lbls = write_idx_pair(tmp_path, [[1, 2, 3, 4]], [3])
+        ds = read_idx(imgs, lbls)
+        assert ds.features.dtype == np.uint8 and not ds.features.flags.writeable
+        with pytest.raises(ValueError):
+            ds.features[0, 0] = 9
+        assert imgs.read_bytes()[16:] == bytes([1, 2, 3, 4])
+
+    def test_load_idx_features_are_writable_floats(self, tmp_path):
+        imgs, lbls = write_idx_pair(tmp_path, [[0, 51, 102, 255]], [3])
+        ds = load_idx(imgs, lbls)
+        assert ds.features.dtype == np.float64
+        assert ds.features.flags.writeable and ds.features.flags.c_contiguous
+        ds.features[0, 0] = 0.5
+        np.testing.assert_array_equal(ds.features, [[0.5, 0.2, 0.4, 1.0]])
 
     @pytest.mark.skipif(
         "not __import__('pathlib').Path('data/mnist/train-images-idx3-ubyte').exists()",
@@ -152,26 +187,22 @@ class TestSynthLinear:
 
 class TestSplit:
     def test_sizes_and_disjointness(self):
-        ds = synth_blobs(101, n_classes=3, dim=4, seed=0)
-        train, ev = split(ds, eval_fraction=0.25, seed=0)
-        assert ev.n == 25
-        assert train.n == 76
-        # disjoint union: every original row appears exactly once
-        combined = np.vstack([train.features, ev.features])
-        assert {tuple(r) for r in combined} == {tuple(r) for r in ds.features}
+        train, ev = split(101, eval_fraction=0.25, seed=0)
+        assert len(ev) == 25
+        assert len(train) == 76
+        # disjoint union: every row index appears exactly once
+        np.testing.assert_array_equal(np.sort(np.concatenate([train, ev])), np.arange(101))
 
     def test_seed_determinism(self):
-        ds = synth_blobs(40, n_classes=2, dim=3, seed=1)
-        a_train, a_eval = split(ds, 0.5, seed=5)
-        b_train, b_eval = split(ds, 0.5, seed=5)
-        np.testing.assert_array_equal(a_train.features, b_train.features)
-        np.testing.assert_array_equal(a_eval.labels, b_eval.labels)
+        a_train, a_eval = split(40, 0.5, seed=5)
+        b_train, b_eval = split(40, 0.5, seed=5)
+        np.testing.assert_array_equal(a_train, b_train)
+        np.testing.assert_array_equal(a_eval, b_eval)
 
     def test_rejects_bad_fraction(self):
-        ds = synth_blobs(10, 2, 2, seed=0)
         for frac in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                split(ds, frac, seed=0)
+                split(10, frac, seed=0)
 
 
 class TestLoadCsv:

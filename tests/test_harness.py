@@ -96,7 +96,7 @@ class TestTrain:
             )
             _, _, records = train(cfg)
             # least-squares optimum of the energy-evaluation split
-            _, eval_set, _ = _load_splits(cfg)
+            _, _, eval_set, _ = _load_splits(cfg)
             A = np.hstack([eval_set.features, np.ones((eval_set.n, 1))])
             w_star, *_ = np.linalg.lstsq(A, eval_set.labels, rcond=None)
             opt = float(np.mean(0.5 * (A @ w_star - eval_set.labels) ** 2))
@@ -257,7 +257,18 @@ class TestCompare:
         (summary,) = compare([cfg], seeds=[3])
         assert summary["mean_final_loss"] == records[-1].eval_loss
         assert summary["mean_final_epsilon"] == spend_.epsilon
+        assert summary["mean_final_epsilon_computed"] == spend_.epsilon_computed
         assert summary["std_final_loss"] == 0.0
+
+    def test_epsilon_over_all_computed_candidates(self):
+        # dpsgd charges every candidate; the screen leaves some uncharged
+        cfg = dataclasses.replace(LINREG_CFG, max_iters=60, eta=5.0)
+        dp, sa = compare([dataclasses.replace(cfg, method="dpsgd"), cfg], seeds=[0, 1])
+        assert dp["mean_final_epsilon_computed"] == dp["mean_final_epsilon"]
+        assert dp["std_final_epsilon_computed"] == dp["std_final_epsilon"]
+        assert sa["mean_final_epsilon_computed"] > sa["mean_final_epsilon"]
+        # every run computes 60 candidates, so eps(t) is the dpsgd epsilon
+        assert sa["mean_final_epsilon_computed"] == dp["mean_final_epsilon"]
 
     def test_identical_configs_identical_summaries(self):
         cfg = dataclasses.replace(LINREG_CFG, max_iters=25)
@@ -330,6 +341,10 @@ def widened(dataset):
     return data.LabeledDataset(data.widen(dataset.features), dataset.labels)
 
 
+def rows_of(dataset, idx):
+    return data.LabeledDataset(dataset.features[idx], dataset.labels[idx])
+
+
 def assert_widens_to(rows, floats):
     """Byte rows laid out as model inputs are bitwise the float rows,
     transposed, over a last row of ones."""
@@ -350,10 +365,18 @@ class TestIdxSplits:
             dataset="idx", idx_train_images=images, idx_train_labels=labels,
             eval_fraction=eval_fraction, seed=seed,
         )
-        train_set, eval_set, test_set = harness._load_splits(cfg)
+        dataset, train_rows, eval_set, test_set = harness._load_splits(cfg)
         assert test_set is None
-        byte_train, byte_eval = data.split(data.read_idx(images, labels), eval_fraction, seed)
-        float_train, float_eval = data.split(data.load_idx(images, labels), eval_fraction, seed)
+        # the training split is a row index into the mapped bytes as read
+        assert not dataset.features.flags.writeable
+        assert_same_rows(dataset, data.read_idx(images, labels))
+        perm = np.random.default_rng(seed).permutation(n)
+        n_eval = int(n * eval_fraction)
+        np.testing.assert_array_equal(train_rows, perm[n_eval:])
+        train_set = rows_of(dataset, train_rows)
+        byte_train, byte_eval = rows_of(dataset, perm[n_eval:]), rows_of(dataset, perm[:n_eval])
+        floats = data.load_idx(images, labels)
+        float_train, float_eval = rows_of(floats, perm[n_eval:]), rows_of(floats, perm[:n_eval])
         assert_same_rows(train_set, byte_train)
         assert_same_rows(eval_set, byte_eval)
         assert_widens_to(eval_set, float_eval)
@@ -378,34 +401,37 @@ class TestIdxSplits:
             idx_train_images=train_files[0], idx_train_labels=train_files[1],
             idx_test_images=test_files[0], idx_test_labels=test_files[1],
         )
-        train_set, eval_set, test_set = harness._load_splits(
+        dataset, train_rows, eval_set, test_set = harness._load_splits(
             TrainConfig(dataset="idx", eval_set="test", seed=seed, **paths)
         )
+        np.testing.assert_array_equal(train_rows, np.arange(50))
+        train_set = rows_of(dataset, train_rows)
         assert_same_rows(train_set, data.read_idx(*train_files))
         assert_same_rows(widened(train_set), data.load_idx(*train_files))
         assert_same_rows(eval_set, data.read_idx(*test_files))
         assert_widens_to(eval_set, data.load_idx(*test_files))
         assert_same_rows(test_set, data.read_idx(*test_files))
         # with a held-out split the test pair is never widened
-        _, eval_set, test_set = harness._load_splits(
+        _, _, eval_set, test_set = harness._load_splits(
             TrainConfig(dataset="idx", eval_set="held_out", seed=seed, **paths)
         )
         assert eval_set.n == 5
         assert_same_rows(test_set, data.read_idx(*test_files))
 
     def test_held_out_split_never_holds_the_full_float_matrix(self, tmp_path):
-        # numpy reports its buffers to tracemalloc; the bytes read plus their
-        # split are 0.25x the float64 matrix, the widened eval split 0.1x
+        # numpy reports its buffers to tracemalloc; the mapped bytes are not
+        # allocated, the row indices take 8 bytes a row, and the gathered
+        # eval rows are 0.0125x the float64 matrix
         n, dim = 20_000, 784
         images, labels = write_random_idx(tmp_path / "train", n, dim, 0)
         cfg = TrainConfig(dataset="idx", idx_train_images=images, idx_train_labels=labels)
         tracemalloc.start()
         try:
-            splits = harness._load_splits(cfg)
+            _, train_rows, eval_set, _ = harness._load_splits(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(ds.n for ds in splits[:2]) == n
+        assert len(train_rows) + eval_set.n == n
         assert peak < 0.5 * n * dim * 8
 
     def test_training_never_holds_a_float_training_matrix(self, tmp_path):
@@ -457,6 +483,52 @@ class TestByteResidentExactness:
         assert 0 < records[-1].tau < records[-1].t == 80
 
 
+class TestMappedIndexExactness:
+    """A run on mapped pixels and an index-resident training split writes
+    the same files as the same run on in-memory rows with the training
+    rows copied out, as the split used to hand them over."""
+
+    @pytest.mark.parametrize("extra", [
+        "dataset = idx\nmodel = softmax_regression\n",
+        "dataset = idx\nmodel = mlp\nlayer_widths = 16\n",
+        "dataset = idx\nmodel = mlp\nlayer_widths = 8\neval_set = test\n",
+        "dataset = csv\nmodel = softmax_regression\n",
+    ], ids=["softmax", "mlp", "mlp-test", "csv"])
+    def test_copied_rows_give_identical_outputs(self, tmp_path, monkeypatch, extra):
+        train_files = write_random_idx(tmp_path / "train", 600, 49, 6)
+        test_files = write_random_idx(tmp_path / "test", 120, 49, 7)
+        rng = np.random.default_rng(8)
+        table = np.column_stack([rng.normal(size=(700, 6)), rng.integers(0, 4, 700)])
+        np.savetxt(tmp_path / "table.csv", table, delimiter=",", header="a,b,c,d,e,f,label")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"idx_train_images = {train_files[0]}\nidx_train_labels = {train_files[1]}\n"
+            f"idx_test_images = {test_files[0]}\nidx_test_labels = {test_files[1]}\n"
+            f"csv_path = {tmp_path / 'table.csv'}\n"
+            "lot_size = 64\neta = 1.0\nclip_norm = 0.5\nsigma = 0.8\n"
+            "eps_budget = none\nmax_iters = 80\nseed = 3\n" + extra
+        )
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "mapped")]) == 0
+        read_idx, load_splits = data.read_idx, harness._load_splits
+
+        def in_memory(*paths):
+            ds = read_idx(*paths)
+            return data.LabeledDataset(np.array(ds.features), ds.labels)
+
+        def copied_out(config):
+            dataset, train_rows, eval_set, test_set = load_splits(config)
+            return rows_of(dataset, train_rows), np.arange(len(train_rows)), eval_set, test_set
+
+        monkeypatch.setattr(data, "read_idx", in_memory)
+        monkeypatch.setattr(harness, "_load_splits", copied_out)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "copied")]) == 0
+        for name in ("trace.csv", "final.params"):
+            got = (tmp_path / "mapped" / name).read_bytes()
+            assert got == (tmp_path / "copied" / name).read_bytes()
+        records = read_trace(tmp_path / "mapped" / "trace.csv")
+        assert 0 < records[-1].tau < records[-1].t == 80
+
+
 def test_trace_diff_script_checks_decision_columns(tmp_path):
     root = pathlib.Path(__file__).parent.parent
     _, _, records = train(dataclasses.replace(LINREG_CFG, max_iters=20))
@@ -465,9 +537,9 @@ def test_trace_diff_script_checks_decision_columns(tmp_path):
     flipped = dataclasses.replace(records[3], accepted=not records[3].accepted)
     emit_trace([*records[:3], flipped, *records[4:]], tmp_path / "c.csv")
 
-    def diff(other):
+    def diff(other, base="a.csv"):
         return subprocess.run(
-            [sys.executable, str(root / "scripts" / "trace_diff.py"), str(tmp_path / "a.csv"), str(tmp_path / other)],
+            [sys.executable, str(root / "scripts" / "trace_diff.py"), str(tmp_path / base), str(tmp_path / other)],
             capture_output=True, text=True, timeout=60,
         )
 
@@ -476,6 +548,25 @@ def test_trace_diff_script_checks_decision_columns(tmp_path):
     assert re.search(r"^eval_loss: max relative difference [1-9]", moved.stdout, re.M)
     changed = diff("c.csv")
     assert changed.returncode == 1 and "accepted: 1 rows differ, first at t=4" in changed.stdout
+    # run directories: the traces as above, then final.params
+    w = np.array([0.25, -1.5, 3.0])
+    for run, trace, params in [
+        ("run_a", "a.csv", w), ("run_same", "a.csv", w), ("run_moved", "b.csv", w * (1 + 4e-16)),
+        ("run_longer", "a.csv", np.append(w, 0.0)), ("run_flipped", "c.csv", w),
+    ]:
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "trace.csv").write_bytes((tmp_path / trace).read_bytes())
+        models.save_checkpoint(tmp_path / run / "final.params", params)
+    same = diff("run_same", "run_a")
+    assert same.returncode == 0 and "final.params: byte-equal" in same.stdout
+    moved = diff("run_moved", "run_a")
+    assert moved.returncode == 0 and "decision columns identical" in moved.stdout
+    assert re.search(r"^final.params: max relative difference [1-9]", moved.stdout, re.M)
+    longer = diff("run_longer", "run_a")
+    assert longer.returncode == 1 and "parameter counts differ: 3 vs 4" in longer.stdout
+    flipped = diff("run_flipped", "run_a")
+    assert flipped.returncode == 1 and "final.params: byte-equal" in flipped.stdout
+    assert diff("run_a", "a.csv").returncode == 2
 
 
 def test_train_and_compare_demo_prints_both_methods():
