@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInputError
+from .errors import InvalidParameterError, NonFiniteInputError
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ class AnnealerState:
         clamp_tau_floor: bool = False,
     ) -> "AnnealerState":
         if Q0 <= 0:
-            raise ValueError("Q0 must be > 0")
+            raise InvalidParameterError("Q0 must be > 0")
         if mu0 < 1:
-            raise ValueError("mu0 must be >= 1")
+            raise InvalidParameterError("mu0 must be >= 1")
         return cls(
             t=0, tau=0, mu=0, Q=Q0, Q0=Q0, mu0=mu0,
             energy=energy, clamp_tau_floor=clamp_tau_floor,
@@ -67,7 +67,7 @@ def acceptance_probability(delta_e: float, Q: float) -> float:
     if not math.isfinite(delta_e):
         raise NonFiniteInputError(f"delta_e={delta_e} is not finite")
     if Q < 0:
-        raise ValueError("Q must be >= 0")
+        raise InvalidParameterError("Q must be >= 0")
     if delta_e <= 0:
         return 1.0
     return min(math.exp(-delta_e * Q), 1.0)

@@ -7,8 +7,9 @@ Subcommands:
 
 Every training setting lives in the config; only --seed overrides it.
 
-Exit codes: 0 success, 2 invalid config (or a run that diverged), 3 budget
-infeasible, 4 I/O error or malformed data file.
+Exit codes: 0 success; on a `sadp.errors.SadpError` the error's `exit_code`
+(2 invalid config, parameters or a diverged run, 3 budget infeasible, 4
+malformed data file); 4 on any other I/O error.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ import sys
 from pathlib import Path
 
 from . import accountant, harness, models
-from .errors import (
-    BudgetInfeasibleError, DataFileError, InvalidConfigError, InvalidParameterError,
-    NonFiniteParametersError,
-)
+from .errors import BudgetInfeasibleError, DataFileError, InvalidConfigError, SadpError
 
 EXIT_OK = 0
-EXIT_INVALID_CONFIG = 2
-EXIT_BUDGET_INFEASIBLE = 3
-EXIT_IO_ERROR = 4
+EXIT_INVALID_CONFIG = InvalidConfigError.exit_code
+EXIT_BUDGET_INFEASIBLE = BudgetInfeasibleError.exit_code
+EXIT_IO_ERROR = DataFileError.exit_code   # also any OSError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,15 +110,9 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_privacy(args)
-    except (InvalidConfigError, InvalidParameterError, NonFiniteParametersError) as exc:
+    except (SadpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-    except BudgetInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET_INFEASIBLE
-    except (OSError, DataFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+        return exc.exit_code if isinstance(exc, SadpError) else EXIT_IO_ERROR
 
 
 if __name__ == "__main__":

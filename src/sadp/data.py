@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily: import it with sadp, not in a run's setup
 
-from .errors import BadMagicError, CountMismatchError, DataFileError, TruncatedFileError
+from .errors import BadMagicError, CountMismatchError, DataFileError, DimensionMismatchError
+from .errors import InvalidParameterError, NonFiniteInputError, TruncatedFileError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -50,7 +51,7 @@ class LabeledDataset:
                 f"{len(self.features)} feature rows vs {len(self.labels)} labels"
             )
         if self.features.dtype.kind not in "iu" and not np.isfinite(self.features).all():
-            raise ValueError("features contain non-finite values")
+            raise NonFiniteInputError("features contain non-finite values")
 
     @property
     def n(self) -> int:
@@ -67,7 +68,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"inclusion probability q={self.q} must be in (0, 1]")
+            raise InvalidParameterError(f"inclusion probability q={self.q} must be in (0, 1]")
 
 
 def _read_exact(f, count, path):
@@ -130,7 +131,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 def save_idx(dataset: LabeledDataset, images_path, labels_path, rows: int, cols: int):
     """Inverse of load_idx, for fixtures and round-trip checks."""
     if rows * cols != dataset.dim:
-        raise ValueError("rows * cols must equal the feature dimension")
+        raise DimensionMismatchError("rows * cols must equal the feature dimension")
     pixels = np.clip(np.round(dataset.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, dataset.n, rows, cols))
@@ -186,9 +187,9 @@ def synth_linear(
 ) -> LabeledDataset:
     """Targets <weights, x> + N(0, noise_std^2), x uniform on [-1, 1]^d."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParameterError("n must be >= 1")
     if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+        raise InvalidParameterError("noise_std must be >= 0")
     weights = np.asarray(weights, dtype=np.float64)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n, len(weights)))
@@ -211,7 +212,7 @@ def split(n: int, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarr
     """(train rows, eval rows) of n rows: a seeded shuffle of 0..n-1, the
     first floor(n * eval_fraction) of it carved off for eval."""
     if not 0.0 < eval_fraction < 1.0:
-        raise ValueError("eval_fraction must be in (0, 1)")
+        raise InvalidParameterError("eval_fraction must be in (0, 1)")
     perm = np.random.default_rng(seed).permutation(n)
     n_eval = int(n * eval_fraction)
     return perm[n_eval:], perm[:n_eval]

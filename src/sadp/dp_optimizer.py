@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import DimensionMismatchError, NonFiniteInputError
+from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteInputError
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,11 @@ class ClipPolicy:
 
     def __post_init__(self):
         if self.kind not in ("abadi", "auto_s"):
-            raise ValueError(f"unknown clip kind {self.kind!r}")
+            raise InvalidParameterError(f"unknown clip kind {self.kind!r}")
         if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
+            raise InvalidParameterError("clip_norm must be > 0")
         if self.kind == "auto_s" and self.gamma <= 0:
-            raise ValueError("gamma must be > 0 for auto_s")
+            raise InvalidParameterError("gamma must be > 0 for auto_s")
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class NoisePolicy:
 
     def __post_init__(self):
         if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+            raise InvalidParameterError("sigma must be > 0")
         if self.lot_size < 1:
-            raise ValueError("lot_size must be >= 1")
+            raise InvalidParameterError("lot_size must be >= 1")
 
 
 def _clip_scale(norms, policy: ClipPolicy):
@@ -118,5 +118,5 @@ def sgd_step(w: np.ndarray, g_tilde: np.ndarray, eta: float) -> np.ndarray:
             f"parameter shape {w.shape} != gradient shape {g_tilde.shape}"
         )
     if eta <= 0:
-        raise ValueError("eta must be > 0")
+        raise InvalidParameterError("eta must be > 0")
     return w - eta * g_tilde

@@ -19,7 +19,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily: import it with sadp, not in a run's setup
 
 from . import accountant, annealer, data, dp_optimizer, models
-from .errors import InvalidConfigError, NonFiniteParametersError
+from .errors import DataFileError, InvalidConfigError, NonFiniteParametersError
 
 EPS_SENTINEL_ITERS = 10_000_000
 
@@ -83,11 +83,9 @@ class TrainConfig:
             raise InvalidConfigError("seed and synth_seed must be >= 0")
         if not 0.0 < self.eval_fraction < 1.0:
             raise InvalidConfigError("eval_fraction must be in (0, 1)")
-        try:
-            models.ModelSpec(self.model, 1, 1, tuple(self.layer_widths), self.activation)
-            dp_optimizer.ClipPolicy(self.clip_kind, self.clip_norm, self.gamma)
-        except ValueError as exc:
-            raise InvalidConfigError(str(exc)) from exc
+        # each raises InvalidParameterError, an InvalidConfigError, on a bad value
+        models.ModelSpec(self.model, 1, 1, tuple(self.layer_widths), self.activation)
+        dp_optimizer.ClipPolicy(self.clip_kind, self.clip_norm, self.gamma)
 
 
 def _parse_value(hint, text: str):
@@ -206,6 +204,8 @@ def _gather(dataset: data.LabeledDataset, rows: np.ndarray) -> data.LabeledDatas
 def _model_spec(config: TrainConfig, dim: int, train_labels, *others) -> models.ModelSpec:
     """The model for dim features and the training labels; every label array
     (None skipped) must index its outputs, [0, training class count)."""
+    if dim < 1:
+        raise InvalidConfigError("the dataset has no feature columns")
     regression = not np.issubdtype(train_labels.dtype, np.integer)
     if config.model == models.LINEAR_REGRESSION or regression:
         if config.model != models.LINEAR_REGRESSION:
@@ -323,19 +323,11 @@ def _check_energy(energy: float, where: str) -> None:
         raise NonFiniteParametersError(f"the run diverged: non-finite energy {energy} {where}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-# _fmt's formatter for each trace column, picked once from its field's type
-_TRACE_FORMATTERS = [
-    {bool: lambda v: "true" if v else "false", float: lambda v: repr(float(v)), int: str}[hint]
-    for hint in typing.get_type_hints(IterationRecord).values()
-]
+# the one text form of a trace or summary value, by its type; float() writes
+# a numpy scalar that reached a float field as a plain number
+_FORMATTERS = {bool: lambda v: "true" if v else "false", float: lambda v: repr(float(v)),
+               int: str, str: str}
+_TRACE_FORMATTERS = [_FORMATTERS[hint] for hint in typing.get_type_hints(IterationRecord).values()]
 
 
 def emit_trace(records, path) -> None:
@@ -348,10 +340,11 @@ def emit_trace(records, path) -> None:
 
 def read_trace(path) -> list[IterationRecord]:
     """Inverse of emit_trace; each value is parsed by its field's type, as
-    config values are, so a malformed number or boolean raises ValueError."""
+    config values are, so a malformed number or boolean raises ValueError
+    (and a missing or wrong header DataFileError)."""
     lines = Path(path).read_text().splitlines()
-    if lines[0].split(",") != TRACE_COLUMNS:
-        raise ValueError(f"{path}: unexpected trace header")
+    if not lines or lines[0].split(",") != TRACE_COLUMNS:
+        raise DataFileError(f"{path}: unexpected trace header")
     hints = typing.get_type_hints(IterationRecord)
     records = []
     for line in lines[1:]:
@@ -371,45 +364,31 @@ def compare(configs, seeds):
         raise InvalidConfigError("need at least one config and one seed")
     summaries = []
     for i, config in enumerate(configs):
-        accs, losses, epsilons, computed = [], [], [], []
+        finals = []   # (accuracy, loss, epsilon, epsilon_computed) per seed
         for seed in seeds:
-            run_cfg = dataclasses.replace(config, seed=int(seed))
-            _, spend_, records = train(run_cfg)
+            _, spend_, records = train(dataclasses.replace(config, seed=int(seed)))
             final = records[-1]
-            accs.append(final.eval_accuracy)
-            losses.append(final.eval_loss)
-            epsilons.append(spend_.epsilon)
-            computed.append(spend_.epsilon_computed)
-        summaries.append({
-            "config_index": i,
-            "method": config.method,
-            "n_runs": len(seeds),
-            "mean_final_accuracy": _nanmean(accs),
-            "std_final_accuracy": _nanstd(accs),
-            "mean_final_loss": _nanmean(losses),
-            "std_final_loss": _nanstd(losses),
-            "mean_final_epsilon": _nanmean(epsilons),
-            "std_final_epsilon": _nanstd(epsilons),
-            "mean_final_epsilon_computed": _nanmean(computed),
-            "std_final_epsilon_computed": _nanstd(computed),
-        })
+            finals.append((final.eval_accuracy, final.eval_loss, spend_.epsilon,
+                           spend_.epsilon_computed))
+        summary = {"config_index": i, "method": config.method, "n_runs": len(seeds)}
+        for name, xs in zip(("accuracy", "loss", "epsilon", "epsilon_computed"), zip(*finals)):
+            # NaN, and null in JSON, over no values (a regression run's accuracy)
+            vals = [x for x in xs if not math.isnan(x)]
+            summary[f"mean_final_{name}"] = statistics.fmean(vals) if vals else math.nan
+            summary[f"std_final_{name}"] = statistics.pstdev(vals) if vals else math.nan
+        summaries.append(summary)
     return summaries
-
-
-def _nanmean(xs):
-    vals = [x for x in xs if not math.isnan(x)]
-    return statistics.fmean(vals) if vals else math.nan
-
-
-def _nanstd(xs):
-    vals = [x for x in xs if not math.isnan(x)]
-    return statistics.pstdev(vals) if len(vals) > 1 else 0.0
 
 
 def emit_summary(summaries, csv_path, json_path) -> None:
     cols = list(summaries[0].keys())
     lines = [",".join(cols)]
     for s in summaries:
-        lines.append(",".join(_fmt(s[c]) for c in cols))
+        lines.append(",".join(_FORMATTERS[type(s[c])](s[c]) for c in cols))
     Path(csv_path).write_text("\n".join(lines) + "\n")
+    # strict JSON has no NaN or Infinity: write null, as for a mean over no values
+    summaries = [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in s.items()}
+        for s in summaries
+    ]
     Path(json_path).write_text(json.dumps(summaries, indent=1) + "\n")

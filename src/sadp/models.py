@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data
-from .errors import DimensionMismatchError, EmptyDatasetError, NonFiniteParametersError
+from .errors import DataFileError, DimensionMismatchError, EmptyDatasetError
+from .errors import InvalidParameterError, NonFiniteParametersError
 
 CHECKPOINT_MAGIC = b"SADP"
 CHECKPOINT_VERSION = 1
@@ -48,16 +49,16 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.architecture not in (LINEAR_REGRESSION, SOFTMAX_REGRESSION, MLP):
-            raise ValueError(f"unknown architecture {self.architecture!r}")
+            raise InvalidParameterError(f"unknown architecture {self.architecture!r}")
         if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("dims must be >= 1")
+            raise InvalidParameterError("dims must be >= 1")
         if self.architecture == LINEAR_REGRESSION and self.output_dim != 1:
-            raise ValueError("linear regression is scalar-output")
+            raise InvalidParameterError("linear regression is scalar-output")
         if self.architecture == MLP:
             if not self.layer_widths or any(w < 1 for w in self.layer_widths):
-                raise ValueError("mlp needs hidden widths >= 1")
+                raise InvalidParameterError("mlp needs hidden widths >= 1")
         if self.activation not in (BOUNDED_TANH, RECTIFIER):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise InvalidParameterError(f"unknown activation {self.activation!r}")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -245,11 +246,11 @@ def load_checkpoint(path) -> np.ndarray:
     with open(path, "rb") as f:
         header = f.read(16)
         if len(header) < 16 or header[:4] != CHECKPOINT_MAGIC:
-            raise ValueError("not a parameter checkpoint")
+            raise DataFileError(f"{path}: not a parameter checkpoint")
         version, length = struct.unpack("<IQ", header[4:])
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise DataFileError(f"{path}: unsupported checkpoint version {version}")
         data = f.read(8 * length)
         if len(data) != 8 * length:
-            raise ValueError("truncated checkpoint")
+            raise DataFileError(f"{path}: truncated checkpoint")
         return np.frombuffer(data, dtype="<f8").copy()

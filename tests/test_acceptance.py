@@ -28,6 +28,21 @@ def report(criterion, elapsed, limit, detail):
     print(f"\n[criterion {criterion:2d}] PASS ({elapsed:.2f}s): {detail}")
 
 
+def run_counts(records):
+    """(t, tau, rejected candidates) at the end of one run."""
+    return records[-1].t, records[-1].tau, sum(not r.accepted for r in records)
+
+
+def mean_counts(counts):
+    """Each method's mean t, tau and rejected count over its runs."""
+    return "; ".join(
+        "{} mean t {:.1f}, tau {:.1f}, rejected {:.1f}".format(
+            method, *(statistics.fmean(c) for c in zip(*runs))
+        )
+        for method, runs in counts.items()
+    )
+
+
 def test_01_accountant_analytic_limit():
     start = time.perf_counter()
     worst = 0.0
@@ -150,7 +165,7 @@ def test_08_linear_regression_directional():
         sigma=1.0, clip_norm=0.1, eta=0.5, lot_size=50,
         eps_budget=None, max_iters=300, q0=10.0, mu0=10,
     )
-    finals = {}
+    finals, counts = {}, {}
     for method in ("sa_dpsgd", "dpsgd"):
         losses = []
         for seed in range(20):
@@ -158,6 +173,7 @@ def test_08_linear_regression_directional():
                 dataclasses.replace(base, method=method, seed=seed)
             )
             losses.append(records[-1].eval_loss)
+            counts.setdefault(method, []).append(run_counts(records))
             if method == "sa_dpsgd":
                 prev_energy, prev_q = math.inf, None
                 for r in records:
@@ -168,7 +184,7 @@ def test_08_linear_regression_directional():
     assert finals["sa_dpsgd"] <= finals["dpsgd"]
     report(8, time.perf_counter() - start, 120.0,
            f"mean final loss sa_dpsgd {finals['sa_dpsgd']:.6f} "
-           f"<= dpsgd {finals['dpsgd']:.6f} (20 seeds)")
+           f"<= dpsgd {finals['dpsgd']:.6f} (20 seeds); {mean_counts(counts)}")
 
 
 def test_09_desk_scale_utility_ordering(tmp_path):
@@ -203,7 +219,7 @@ def test_09_desk_scale_utility_ordering(tmp_path):
         eval_set="test", lot_size=128, sigma=1.23, delta=1e-5, eps_budget=3.0,
         eta=0.5, clip_norm=0.1, q0=10.0, mu0=10,
     )
-    result = {}
+    result, counts = {}, {}
     for method in ("sa_dpsgd", "dpsgd"):
         accs, epss = [], []
         for seed in range(5):
@@ -211,6 +227,7 @@ def test_09_desk_scale_utility_ordering(tmp_path):
                 dataclasses.replace(base, method=method, seed=seed)
             )
             accs.append(records[-1].eval_accuracy)
+            counts.setdefault(method, []).append(run_counts(records))
             epss.append(spend_.epsilon)
         result[method] = (statistics.fmean(accs), max(epss))
     assert result["sa_dpsgd"][0] >= result["dpsgd"][0]
@@ -218,7 +235,7 @@ def test_09_desk_scale_utility_ordering(tmp_path):
     assert result["dpsgd"][1] <= 3.0
     report(9, time.perf_counter() - start, 900.0,
            f"[{source}] mean test acc sa_dpsgd {result['sa_dpsgd'][0]:.4f} "
-           f">= dpsgd {result['dpsgd'][0]:.4f}; eps <= 3.0 for both")
+           f">= dpsgd {result['dpsgd'][0]:.4f}; eps <= 3.0 for both; {mean_counts(counts)}")
 
 
 def test_10_reproducibility(tmp_path):

@@ -121,12 +121,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (MLP_CFG, "synth_seed = -1"),
         (MLP_CFG, "synth_n = 5"),
         (MLP_CFG, "eval_fraction = 0.001"),
+        (SMALL_CFG, "synth_noise_std = -1"),
+        (SMALL_CFG, "synth_weights = ,"),
     ],
     ids=[
         "clip_kind", "activation", "eval_fraction", "auto_s_gamma", "model", "mlp_widths",
         "inf_budget", "none_noise_std", "nan_clip_norm", "nan_sigma", "nan_budget",
         "zero_synth_n", "zero_blob_classes", "zero_blob_dim", "negative_seed",
         "negative_synth_seed", "empty_held_out_small_n", "empty_held_out_small_fraction",
+        "negative_noise_std", "no_synth_weights",
     ],
 )
 def test_invalid_field_exits_2_without_traceback(tmp_path, capsys, base, override):
@@ -184,6 +187,27 @@ def test_test_label_beyond_train_classes_exits_2(tmp_path, capsys):
         capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
     )
     assert "labels" in err
+
+
+def test_test_images_of_another_size_exit_2(tmp_path, capsys):
+    # 3x3 test images against 2x2 training images, labels in range
+    rng = np.random.default_rng(0)
+    paths = {}
+    for part, side in (("train", 2), ("test", 3)):
+        ds = LabeledDataset(rng.uniform(size=(30, side * side)), np.arange(30) % 3)
+        paths[part] = (tmp_path / f"{part}-images", tmp_path / f"{part}-labels")
+        save_idx(ds, *paths[part], rows=side, cols=side)
+    cfg = write_cfg(
+        tmp_path,
+        LABELED_CFG
+        + "dataset = idx\neval_set = test\n"
+        + f"idx_train_images = {paths['train'][0]}\nidx_train_labels = {paths['train'][1]}\n"
+        + f"idx_test_images = {paths['test'][0]}\nidx_test_labels = {paths['test'][1]}\n",
+    )
+    err = assert_exits_2_without_traceback(
+        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+    assert "(n, 4), got (30, 9)" in err
 
 
 def write_idx(tmp_path, images: bytes, labels: bytes) -> str:
@@ -271,6 +295,24 @@ def test_zero_image_idx_exits_2(tmp_path, capsys):
     assert "empty split: 0 training and 0 evaluation rows" in err
 
 
+@pytest.mark.parametrize(
+    "data_keys",
+    [
+        lambda p: write_idx(
+            p, struct.pack(">IIII", 0x803, 30, 0, 0), struct.pack(">II", 0x801, 30) + bytes(30)
+        ),
+        lambda p: write_csv(p, "label\n" + "\n".join(str(i % 3) for i in range(30)) + "\n"),
+    ],
+    ids=["idx_zero_pixels", "csv_labels_only"],
+)
+def test_no_feature_columns_exits_2(tmp_path, capsys, data_keys):
+    cfg = write_cfg(tmp_path, LABELED_CFG + data_keys(tmp_path))
+    err = assert_exits_2_without_traceback(
+        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+    assert "no feature columns" in err
+
+
 SYNTH_LINEAR_CFG = (CONFIGS / "synth_linear.cfg").read_text()
 
 
@@ -331,6 +373,20 @@ def test_compare_emits_summaries(tmp_path, capsys):
     )
     header = (out / "summary.csv").read_text().splitlines()[0].split(",")
     assert header[-2:] == ["mean_final_epsilon_computed", "std_final_epsilon_computed"]
+
+
+def test_regression_compare_writes_strict_json_with_null_accuracy(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    argv = ["compare", "--configs", str(CONFIGS / "synth_linear.cfg"), "--seeds", "0,1"]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert "acc nan +/- nan," in capsys.readouterr().out
+
+    def reject(token):
+        raise AssertionError(f"summary.json holds the non-JSON token {token}")
+
+    (summary,) = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["mean_final_accuracy"] is None and summary["std_final_accuracy"] is None
+    assert summary["n_runs"] == 2 and summary["std_final_loss"] > 0
 
 
 def test_privacy_calculator(capsys):

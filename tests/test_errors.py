@@ -1,0 +1,93 @@
+"""The error hierarchy: every sadp error is a ValueError with its exit code,
+`cli.main` maps each to that code, and sadp code raises no builtin exception."""
+
+import ast
+import builtins
+import pathlib
+
+import pytest
+
+from sadp import cli, errors, harness
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "sadp"
+
+# the exit codes the README documents, per class
+DOCUMENTED_EXIT_CODES = {
+    "SadpError": 2,
+    "NonFiniteInputError": 2,
+    "DimensionMismatchError": 2,
+    "NonFiniteParametersError": 2,
+    "EmptyDatasetError": 2,
+    "InvalidConfigError": 2,
+    "InvalidParameterError": 2,
+    "BudgetInfeasibleError": 3,
+    "DataFileError": 4,
+    "BadMagicError": 4,
+    "TruncatedFileError": 4,
+    "CountMismatchError": 4,
+}
+
+ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, BaseException)
+]
+
+
+def test_every_error_class_has_a_documented_code():
+    assert sorted(c.__name__ for c in ERROR_CLASSES) == sorted(DOCUMENTED_EXIT_CODES)
+    assert all(issubclass(c, errors.SadpError) and issubclass(c, ValueError) for c in ERROR_CLASSES)
+    assert issubclass(errors.InvalidParameterError, errors.InvalidConfigError)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_cli_returns_each_error_class_code(tmp_path, capsys, monkeypatch, cls):
+    def fail(config):
+        raise cls("the run failed")
+
+    monkeypatch.setattr(harness, "train", fail)
+    (tmp_path / "run.cfg").write_text("")
+    code = cli.main(["train", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)])
+    assert code == DOCUMENTED_EXIT_CODES[cls.__name__]
+    assert capsys.readouterr().err == "error: the run failed\n"
+
+
+def test_cli_does_not_catch_a_foreign_value_error(tmp_path, monkeypatch):
+    # a ValueError that sadp did not raise is a bug: it must keep its traceback
+    def fail(config):
+        raise ValueError("not a sadp error")
+
+    monkeypatch.setattr(harness, "train", fail)
+    (tmp_path / "run.cfg").write_text("")
+    with pytest.raises(ValueError, match="not a sadp error"):
+        cli.main(["train", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)])
+
+
+def builtin_raises(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing function, class name) of each `raise` of a builtin exception."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                cls = getattr(builtins, getattr(exc, "id", ""), None)
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    found.append((func, exc.id))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_guard_finds_builtin_raises():
+    source = "def f(x):\n    if x:\n        raise TypeError(x)\n    raise KeyError\nraise OSError\n"
+    assert builtin_raises(source) == [("f", "TypeError"), ("f", "KeyError"), (None, "OSError")]
+    assert builtin_raises("def f():\n    raise errors.DataFileError('x')\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_sadp_raises_only_sadp_errors(path):
+    # the one exception: _parse_value's ValueError, which parse_config_text
+    # and read_trace's callers see as the parse failure of one value
+    allowed = [("_parse_value", "ValueError")] if path.name == "harness.py" else []
+    assert builtin_raises(path.read_text()) == allowed

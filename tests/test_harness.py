@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sadp import accountant, cli, data, harness, models
+from sadp.errors import DataFileError
 from sadp.harness import (
     TRACE_COLUMNS,
     InvalidConfigError,
@@ -76,6 +77,8 @@ class TestConfigParsing:
             "method = dp_magic",
             "sigma = -1",
             "eval_set = validation",
+            "clip_kind = foo",
+            "activation = relu",
         ],
     )
     def test_bad_configs_rejected(self, text):
@@ -207,6 +210,13 @@ class TestTraces:
             ",".join(TRACE_COLUMNS) + "\n1,1,0,10.0,-0.5,1.0,yes,false,0.5,nan,0.1\n"
         )
         with pytest.raises(ValueError):
+            read_trace(path)
+
+    @pytest.mark.parametrize("text", ["", "t,tau\n1,1\n"], ids=["empty", "foreign_header"])
+    def test_file_without_trace_header_is_a_data_file_error(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(DataFileError, match="trace header"):
             read_trace(path)
 
     def test_numpy_scalars_written_as_plain_numbers(self, tmp_path):
