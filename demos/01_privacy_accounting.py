@@ -23,16 +23,17 @@ print("Per-step Renyi divergence at a few orders alpha:")
 for alpha in (2, 8, 16, 32, 64):
     print(f"  alpha = {alpha:2d}: eps_RDP = {rdp_per_step(q, sigma, alpha):.6e}")
 
+state = AccountantState(q=q, sigma=sigma, delta=delta)
 print("\nPrivacy spend grows with the number of charged iterations tau:")
 for tau in (100, 1000, 4698, 4699):
-    result = spend(AccountantState(q=q, sigma=sigma, delta=delta, tau=tau))
+    result = spend(state, tau)
     print(
         f"  tau = {tau:5d}: epsilon = {result.epsilon:.6f}"
         f" (best alpha = {result.best_alpha})"
     )
 
 budget = 3.0
-tau_star = max_steps_within(AccountantState(q=q, sigma=sigma, delta=delta), budget)
+tau_star = max_steps_within(state, budget)
 print(f"\nLargest tau that stays within epsilon <= {budget}: {tau_star}")
 
 # Sanity check against the analytic q = 1 limit: eps_RDP -> alpha / (2 sigma^2).

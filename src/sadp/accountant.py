@@ -6,13 +6,14 @@ with numpy alone: exact log-binomials and a max-shifted log-sum-exp.
 Charged iterations compose linearly, so after tau steps epsilon = min over
 orders of conv(tau * rdp_alpha, delta), where conv is one of the two
 RDP-to-DP conversions. Each conversion adds an order-dependent tail, so the
-budget inverts in closed form, order by order.
+budget inverts in closed form, order by order. An AccountantState fixes
+(q, sigma, delta, conversion) for a run; tau is an argument of every query.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -106,20 +107,19 @@ def _rdp_curve(q: float, sigma: float, alphas: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AccountantState:
-    """Everything needed to answer "what is epsilon now?"."""
+    """What is fixed for a run: the mechanism (q, sigma), delta and the
+    RDP-to-DP conversion. Every query takes the charged step count tau."""
 
     q: float
     sigma: float
     delta: float
-    tau: int = 0
+    tight_conversion: bool = False
 
     def __post_init__(self):
         _check_q_sigma(self.q, self.sigma)
         if self.q == 0.0:
             raise InvalidParameterError("sampling rate q must be positive")
         _check_delta(self.delta)
-        if self.tau < 0:
-            raise InvalidParameterError(f"tau={self.tau} must be >= 0")
 
     @cached_property
     def rdp(self) -> np.ndarray:
@@ -128,21 +128,15 @@ class AccountantState:
         curve.flags.writeable = False
         return curve
 
-    def with_tau(self, tau: int) -> "AccountantState":
-        moved = replace(self, tau=tau)
-        # same q and sigma, so the same curve
-        vars(moved).update(rdp=self.rdp)
-        return moved
-
-    def epsilons(self, tau, tight_conversion: bool = False) -> np.ndarray:
+    def epsilons(self, tau) -> np.ndarray:
         """(epsilon, delta)-DP epsilon at each order after tau charged steps;
         tau is one count or one count per order."""
-        convert = rdp_to_dp_tight if tight_conversion else rdp_to_dp
+        convert = rdp_to_dp_tight if self.tight_conversion else rdp_to_dp
         return convert(_ALPHAS, tau * self.rdp, self.delta)
 
-    def epsilon(self, tau, tight_conversion: bool = False) -> float:
+    def epsilon(self, tau) -> float:
         """epsilon after tau charged steps: the min over orders."""
-        return float(self.epsilons(tau, tight_conversion).min())
+        return float(self.epsilons(tau).min())
 
 
 @dataclass(frozen=True)
@@ -194,30 +188,26 @@ def rdp_to_dp_tight(alpha, rdp_eps, delta: float):
     return np.maximum(rdp_eps + _tail(alpha, delta, tight=True), 0.0)
 
 
-def spend(
-    state: AccountantState, tight_conversion: bool = False, computed: int | None = None
-) -> PrivacySpend:
-    """Total (epsilon, delta) after state.tau charged iterations.
+def spend(state: AccountantState, tau: int, computed: int | None = None) -> PrivacySpend:
+    """Total (epsilon, delta) after tau charged iterations.
 
     Minimizes over the order grid; ties break toward the first order.
     `computed` counts every noisy release a run computed (at least tau);
     epsilon_computed composes them all, and is epsilon when computed is
     None, i.e. when every computed release is charged.
     """
-    eps = state.epsilons(state.tau, tight_conversion)
+    if tau < 0:
+        raise InvalidParameterError(f"tau={tau} must be >= 0")
+    eps = state.epsilons(tau)
     best = int(np.argmin(eps))
     return PrivacySpend(
         epsilon=float(eps[best]), delta=state.delta,
         best_alpha=DEFAULT_ALPHA_GRID[best],
-        epsilon_computed=(
-            float(eps[best]) if computed is None else state.epsilon(computed, tight_conversion)
-        ),
+        epsilon_computed=float(eps[best]) if computed is None else state.epsilon(computed),
     )
 
 
-def max_steps_within(
-    state: AccountantState, eps_budget: float, tight_conversion: bool = False
-) -> int:
+def max_steps_within(state: AccountantState, eps_budget: float) -> int:
     """Largest tau whose spend stays within eps_budget.
 
     At each order epsilon is tau * rdp_alpha plus the conversion's tail, so
@@ -228,14 +218,14 @@ def max_steps_within(
     """
     if not math.isfinite(eps_budget):
         raise InvalidParameterError(f"eps_budget={eps_budget} must be finite")
-    eps_one = state.epsilon(1, tight_conversion)
+    eps_one = state.epsilon(1)
     if eps_one > eps_budget:
         raise BudgetInfeasibleError(
             f"budget {eps_budget} does not cover a single charged iteration "
             f"(epsilon {eps_one:.6g} at q={state.q:.6g}, sigma={state.sigma})"
         )
     rdp = state.rdp
-    tail = _tail(_ALPHAS, state.delta, tight_conversion)
+    tail = _tail(_ALPHAS, state.delta, state.tight_conversion)
     if np.any((rdp == 0.0) & (tail <= eps_budget)):
         raise InvalidParameterError(
             f"the per-step cost at q={state.q:.6g}, sigma={state.sigma} is 0, "
@@ -244,6 +234,6 @@ def max_steps_within(
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.floor(np.where(rdp > 0.0, (eps_budget - tail) / rdp, 0.0))
     steps = np.maximum(steps, 0.0)
-    steps -= state.epsilons(steps, tight_conversion) > eps_budget
-    steps += state.epsilons(steps + 1, tight_conversion) <= eps_budget
+    steps -= state.epsilons(steps) > eps_budget
+    steps += state.epsilons(steps + 1) <= eps_budget
     return int(steps.max())

@@ -91,10 +91,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_privacy(args) -> int:
-    state = accountant.AccountantState(
-        q=args.q, sigma=args.sigma, delta=args.delta, tau=args.tau
-    )
-    spend = accountant.spend(state, tight_conversion=args.tight)
+    state = accountant.AccountantState(args.q, args.sigma, args.delta, args.tight)
+    spend = accountant.spend(state, args.tau)
     print(
         f"epsilon = {spend.epsilon:.6f} at alpha = {spend.best_alpha} "
         f"(q={args.q}, sigma={args.sigma}, delta={args.delta}, tau={args.tau})"

@@ -19,7 +19,8 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily: import it with sadp, not in a run's setup
 
 from . import accountant, annealer, data, dp_optimizer, models
-from .errors import DataFileError, InvalidConfigError, NonFiniteParametersError
+from .errors import DataFileError, DimensionMismatchError, InvalidConfigError
+from .errors import NonFiniteParametersError
 
 EPS_SENTINEL_ITERS = 10_000_000
 
@@ -98,7 +99,7 @@ def _parse_value(hint, text: str):
         return tuple(args[0](v) for v in text.split(",") if v.strip())
     if hint is bool:
         if text.lower() not in ("true", "false"):
-            raise ValueError(text)
+            raise ValueError(f"not a boolean: {text!r}")
         return text.lower() == "true"
     return hint(text)
 
@@ -159,6 +160,11 @@ def _load_splits(config: TrainConfig):
             if config.idx_test_images
             else None
         )
+        if test is not None and test.dim != dataset.dim:
+            raise DimensionMismatchError(
+                f"idx_test_images {config.idx_test_images} has {test.dim} features per row, "
+                f"the training images {dataset.dim}"
+            )
     elif config.dataset == "csv":
         dataset = data.load_csv(config.csv_path)
     elif config.dataset == "synth_linear":
@@ -241,12 +247,10 @@ def train(config: TrainConfig):
     del eval_set, test_set
 
     q = min(config.lot_size / len(train_rows), 1.0)
-    acct = accountant.AccountantState(q=q, sigma=config.sigma, delta=config.delta)
+    acct = accountant.AccountantState(q, config.sigma, config.delta, config.tight_conversion)
     max_charged = None
     if config.eps_budget is not None:
-        max_charged = accountant.max_steps_within(
-            acct, config.eps_budget, config.tight_conversion
-        )
+        max_charged = accountant.max_steps_within(acct, config.eps_budget)
 
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     init_rng, sample_rng, noise_rng, decide_rng = (
@@ -295,7 +299,7 @@ def train(config: TrainConfig):
             cur_acc = new_acc
         state = annealer.advance(state, decision, new_energy)
         if state.tau != eps_tau:
-            eps_tau, epsilon = state.tau, acct.epsilon(state.tau, config.tight_conversion)
+            eps_tau, epsilon = state.tau, acct.epsilon(state.tau)
         records.append(
             IterationRecord(
                 t=state.t,
@@ -312,10 +316,7 @@ def train(config: TrainConfig):
             )
         )
 
-    final_spend = accountant.spend(
-        acct.with_tau(state.tau), config.tight_conversion, computed=state.t
-    )
-    return w, final_spend, records
+    return w, accountant.spend(acct, state.tau, computed=state.t), records
 
 
 def _check_energy(energy: float, where: str) -> None:
@@ -340,16 +341,22 @@ def emit_trace(records, path) -> None:
 
 def read_trace(path) -> list[IterationRecord]:
     """Inverse of emit_trace; each value is parsed by its field's type, as
-    config values are, so a malformed number or boolean raises ValueError
-    (and a missing or wrong header DataFileError)."""
+    config values are. A missing or wrong header, a row of another width or
+    a malformed value raises DataFileError naming the file and line."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].split(",") != TRACE_COLUMNS:
         raise DataFileError(f"{path}: unexpected trace header")
     hints = typing.get_type_hints(IterationRecord)
     records = []
-    for line in lines[1:]:
-        values = zip(TRACE_COLUMNS, line.split(","), strict=True)
-        records.append(IterationRecord(**{c: _parse_value(hints[c], v) for c, v in values}))
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != len(TRACE_COLUMNS):
+                raise DataFileError(f"{len(fields)} fields, expected {len(TRACE_COLUMNS)}")
+            values = {c: _parse_value(hints[c], v) for c, v in zip(TRACE_COLUMNS, fields)}
+        except ValueError as exc:
+            raise DataFileError(f"{path}:{lineno}: {exc}") from None
+        records.append(IterationRecord(**values))
     return records
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,18 +58,18 @@ class ModelSpec:
         if self.architecture == MLP:
             if not self.layer_widths or any(w < 1 for w in self.layer_widths):
                 raise InvalidParameterError("mlp needs hidden widths >= 1")
+        elif self.layer_widths:
+            raise InvalidParameterError(f"{self.architecture} takes no layer_widths (mlp only)")
         if self.activation not in (BOUNDED_TANH, RECTIFIER):
             raise InvalidParameterError(f"unknown activation {self.activation!r}")
 
-    @property
-    def layer_dims(self) -> list[tuple[int, int]]:
+    @cached_property
+    def layer_dims(self) -> tuple[tuple[int, int], ...]:
         """(fan_in, fan_out) per layer in packing order."""
-        if self.architecture in (LINEAR_REGRESSION, SOFTMAX_REGRESSION):
-            return [(self.input_dim, self.output_dim)]
         dims = [self.input_dim, *self.layer_widths, self.output_dim]
-        return list(zip(dims[:-1], dims[1:]))
+        return tuple(zip(dims[:-1], dims[1:]))
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         return sum(fi * fo + fo for fi, fo in self.layer_dims)
 

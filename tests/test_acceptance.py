@@ -14,9 +14,9 @@ import numpy as np
 from sadp import data
 from sadp.accountant import AccountantState, max_steps_within, rdp_per_step, spend
 from sadp.annealer import AnnealerState, advance, decide
-from sadp.dp_optimizer import ClipPolicy, clip_batch
+from sadp.dp_optimizer import ClipPolicy, clip_batch, clipped_grad_sum
 from sadp.harness import TrainConfig, emit_trace, train
-from sadp.models import init_params, per_example_losses_grads
+from sadp.models import LINEAR_REGRESSION, ModelSpec, init_params, per_example_losses_grads
 
 from test_models import ALL_SPECS, finite_difference_grad
 
@@ -79,8 +79,8 @@ def test_03_budget_inversion_consistency():
     state = AccountantState(q=MNIST_Q, sigma=1.23, delta=1e-5)
     tau_star = max_steps_within(state, 3.0)
     assert tau_star == 4698  # frozen from the arbitrary-precision sweep
-    eps_at = spend(state.with_tau(tau_star)).epsilon
-    eps_next = spend(state.with_tau(tau_star + 1)).epsilon
+    eps_at = spend(state, tau_star).epsilon
+    eps_next = spend(state, tau_star + 1).epsilon
     assert eps_at <= 3.0 < eps_next
     report(3, time.perf_counter() - start, 5.0,
            f"tau* = {tau_star}, eps = {eps_at:.6f} <= 3.0 < {eps_next:.6f}")
@@ -102,7 +102,22 @@ def test_04_clipping_properties():
             np.testing.assert_array_equal(clipped, g)
         expected = c * norm / (norm + gamma)
         assert abs(np.linalg.norm(clip_batch(g[None], auto_s)[0]) - expected) <= 1e-12
-    report(4, time.perf_counter() - start, 5.0, "1000 vectors per policy, dims 1..10^4")
+        if dim >= 2:
+            # the path training runs: one linear-regression example at w = 0,
+            # whose gradient [x * r; r] with residual r = -y is g
+            spec = ModelSpec(LINEAR_REGRESSION, dim - 1, 1)
+            x, y = g[None, :-1] / g[-1], -g[-1:]
+            summed = {}
+            for policy in (abadi, auto_s):
+                summed[policy.kind] = clipped_grad_sum(spec, np.zeros(dim), x, y, policy)
+                reference = clip_batch(g[None], policy)[0]
+                assert np.linalg.norm(summed[policy.kind] - reference) <= (
+                    1e-12 * np.linalg.norm(reference)
+                )
+            assert np.linalg.norm(summed["abadi"]) <= c * (1 + 1e-12)
+            assert abs(np.linalg.norm(summed["auto_s"]) - expected) <= 1e-12
+    report(4, time.perf_counter() - start, 5.0,
+           "1000 vectors per policy, dims 1..10^4, also through clipped_grad_sum from dim 2")
 
 
 def test_05_acceptance_rate_statistics():

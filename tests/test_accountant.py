@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -137,7 +138,7 @@ def test_spend_is_min_over_orders_of_converted_composition(tau, tight, convert):
         (convert(a, tau * rdp_per_step(MNIST_Q, 1.23, a), 1e-5), a)
         for a in DEFAULT_ALPHA_GRID
     )
-    result = spend(AccountantState(q=MNIST_Q, sigma=1.23, delta=1e-5, tau=tau), tight)
+    result = spend(AccountantState(MNIST_Q, 1.23, 1e-5, tight), tau)
     assert (result.epsilon, result.best_alpha) == (eps, alpha)
 
 
@@ -189,38 +190,37 @@ class TestConversions:
 
 class TestSpend:
     def test_zero_tau_floor_at_largest_order(self):
-        state = AccountantState(q=MNIST_Q, sigma=1.23, delta=1e-5, tau=0)
-        result = spend(state)
+        result = spend(AccountantState(q=MNIST_Q, sigma=1.23, delta=1e-5), 0)
         assert result.best_alpha == 64
         assert result.epsilon == pytest.approx(math.log(1e5) / 63)
 
     def test_monotone_in_tau(self):
         state = AccountantState(q=MNIST_Q, sigma=1.23, delta=1e-5)
-        eps = [spend(state.with_tau(tau)).epsilon for tau in (0, 10, 100, 1000, 5000)]
+        eps = [spend(state, tau).epsilon for tau in (0, 10, 100, 1000, 5000)]
         assert eps == sorted(eps)
 
     def test_monotone_in_q_and_sigma(self):
         eps_q = [
-            spend(AccountantState(q=q, sigma=1.23, delta=1e-5, tau=500)).epsilon
+            spend(AccountantState(q=q, sigma=1.23, delta=1e-5), 500).epsilon
             for q in (0.001, 0.01, 0.1, 0.5)
         ]
         assert eps_q == sorted(eps_q)
         eps_s = [
-            spend(AccountantState(q=0.01, sigma=s, delta=1e-5, tau=500)).epsilon
+            spend(AccountantState(q=0.01, sigma=s, delta=1e-5), 500).epsilon
             for s in (0.5, 1.0, 2.0, 4.0)
         ]
         assert eps_s == sorted(eps_s, reverse=True)
 
     def test_tie_goes_to_smallest_order(self):
         # with delta = 0.5 the tight conversion clamps several orders to 0
-        state = AccountantState(q=0.01, sigma=1.0, delta=0.5)
-        assert list(state.epsilons(0, tight_conversion=True)[:2]) == [0.0, 0.0]
-        result = spend(state, tight_conversion=True)
+        state = AccountantState(q=0.01, sigma=1.0, delta=0.5, tight_conversion=True)
+        assert list(state.epsilons(0)[:2]) == [0.0, 0.0]
+        result = spend(state, 0)
         assert (result.epsilon, result.best_alpha) == (0.0, 2)
 
     def test_deterministic_with_smallest_alpha_tie_break(self):
-        state = AccountantState(q=0.01, sigma=1.0, delta=1e-3, tau=200)
-        assert spend(state) == spend(state)
+        state = AccountantState(q=0.01, sigma=1.0, delta=1e-3)
+        assert spend(state, 200) == spend(state, 200)
 
 
 class TestMaxStepsWithin:
@@ -233,8 +233,8 @@ class TestMaxStepsWithin:
     def test_defining_property(self):
         budget = 1.5
         tau = max_steps_within(self.STATE, budget)
-        assert spend(self.STATE.with_tau(tau)).epsilon <= budget
-        assert spend(self.STATE.with_tau(tau + 1)).epsilon > budget
+        assert spend(self.STATE, tau).epsilon <= budget
+        assert spend(self.STATE, tau + 1).epsilon > budget
 
     def test_matches_oracle_crossing(self):
         # frozen from the arbitrary-precision sweep in scripts/
@@ -242,8 +242,8 @@ class TestMaxStepsWithin:
 
     def test_budget_below_one_charged_step_is_infeasible(self):
         # above the tau=0 conversion floor, below a single charged step
-        floor = spend(self.STATE).epsilon
-        one = spend(self.STATE.with_tau(1)).epsilon
+        floor = spend(self.STATE, 0).epsilon
+        one = spend(self.STATE, 1).epsilon
         with pytest.raises(BudgetInfeasibleError):
             max_steps_within(self.STATE, (floor + one) / 2)
         assert max_steps_within(self.STATE, one) >= 1
@@ -268,14 +268,14 @@ class TestMaxStepsWithin:
         tight=st.booleans(),
     )
     def test_inverts_spend_exactly(self, q, sigma, delta, budget, tight):
-        state = AccountantState(q=q, sigma=sigma, delta=delta)
+        state = AccountantState(q, sigma, delta, tight)
         try:
-            tau = max_steps_within(state, budget, tight)
+            tau = max_steps_within(state, budget)
         except BudgetInfeasibleError:
-            assert spend(state.with_tau(1), tight).epsilon > budget
+            assert spend(state, 1).epsilon > budget
             return
-        assert spend(state.with_tau(tau), tight).epsilon <= budget
-        assert spend(state.with_tau(tau + 1), tight).epsilon > budget
+        assert spend(state, tau).epsilon <= budget
+        assert spend(state, tau + 1).epsilon > budget
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -289,16 +289,16 @@ class TestMaxStepsWithin:
     def test_inverts_spend_at_the_rounding_edge(self, q, sigma, delta, tau0, ulps, tight):
         # a budget on, or one ulp either side of, an attained epsilon is
         # where a floor computed in floats lands one step off
-        state = AccountantState(q=q, sigma=sigma, delta=delta)
-        budget = float(spend(state.with_tau(tau0), tight).epsilon)
+        state = AccountantState(q, sigma, delta, tight)
+        budget = float(spend(state, tau0).epsilon)
         budget = float(np.nextafter(budget, ulps * math.inf)) if ulps else budget
         try:
-            tau = max_steps_within(state, budget, tight)
+            tau = max_steps_within(state, budget)
         except BudgetInfeasibleError:
-            assert spend(state.with_tau(1), tight).epsilon > budget
+            assert spend(state, 1).epsilon > budget
             return
-        assert spend(state.with_tau(tau), tight).epsilon <= budget
-        assert spend(state.with_tau(tau + 1), tight).epsilon > budget
+        assert spend(state, tau).epsilon <= budget
+        assert spend(state, tau + 1).epsilon > budget
         assert (tau >= tau0) == (ulps >= 0)
 
 
@@ -308,8 +308,14 @@ class TestAccountantState:
             AccountantState(q=0.0, sigma=1.0, delta=1e-5)
         with pytest.raises(InvalidParameterError):
             AccountantState(q=0.5, sigma=1.0, delta=1.5)
-        with pytest.raises(InvalidParameterError):
-            AccountantState(q=0.5, sigma=1.0, delta=1e-5, tau=-1)
+        # tau is an argument of each query, checked there
+        with pytest.raises(InvalidParameterError, match=r"^tau=-1 must be >= 0$"):
+            spend(AccountantState(q=0.5, sigma=1.0, delta=1e-5), -1)
+
+    def test_fields_are_what_is_fixed_for_a_run(self):
+        assert [f.name for f in dataclasses.fields(AccountantState)] == [
+            "q", "sigma", "delta", "tight_conversion"
+        ]
 
 
 def test_privacy_demo_prints_budget_crossing():

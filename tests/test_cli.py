@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -123,13 +124,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (MLP_CFG, "eval_fraction = 0.001"),
         (SMALL_CFG, "synth_noise_std = -1"),
         (SMALL_CFG, "synth_weights = ,"),
+        (MLP_CFG, "model = softmax_regression\nlayer_widths = 128"),
+        (SMALL_CFG, "layer_widths = 128"),
     ],
     ids=[
         "clip_kind", "activation", "eval_fraction", "auto_s_gamma", "model", "mlp_widths",
         "inf_budget", "none_noise_std", "nan_clip_norm", "nan_sigma", "nan_budget",
         "zero_synth_n", "zero_blob_classes", "zero_blob_dim", "negative_seed",
         "negative_synth_seed", "empty_held_out_small_n", "empty_held_out_small_fraction",
-        "negative_noise_std", "no_synth_weights",
+        "negative_noise_std", "no_synth_weights", "softmax_widths", "linear_widths",
     ],
 )
 def test_invalid_field_exits_2_without_traceback(tmp_path, capsys, base, override):
@@ -189,8 +192,10 @@ def test_test_label_beyond_train_classes_exits_2(tmp_path, capsys):
     assert "labels" in err
 
 
-def test_test_images_of_another_size_exit_2(tmp_path, capsys):
-    # 3x3 test images against 2x2 training images, labels in range
+@pytest.mark.parametrize("eval_set", ["test", "held_out"])
+def test_test_images_of_another_size_exit_2(tmp_path, capsys, eval_set):
+    # 3x3 test images against 2x2 training images, labels in range; the
+    # test set is checked whether or not it is the evaluation set
     rng = np.random.default_rng(0)
     paths = {}
     for part, side in (("train", 2), ("test", 3)):
@@ -200,14 +205,17 @@ def test_test_images_of_another_size_exit_2(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         LABELED_CFG
-        + "dataset = idx\neval_set = test\n"
+        + f"dataset = idx\neval_set = {eval_set}\n"
         + f"idx_train_images = {paths['train'][0]}\nidx_train_labels = {paths['train'][1]}\n"
         + f"idx_test_images = {paths['test'][0]}\nidx_test_labels = {paths['test'][1]}\n",
     )
     err = assert_exits_2_without_traceback(
         capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
     )
-    assert "(n, 4), got (30, 9)" in err
+    assert err == (
+        f"error: idx_test_images {paths['test'][0]} has 9 features per row, "
+        "the training images 4\n"
+    )
 
 
 def write_idx(tmp_path, images: bytes, labels: bytes) -> str:
@@ -401,9 +409,9 @@ def test_privacy_calculator(capsys):
 def test_privacy_tight_conversion(capsys):
     argv = ["privacy", "--q", "0.00853", "--sigma", "1.23", "--delta", "1e-5", "--tau", "4698"]
     assert cli.main(argv + ["--tight"]) == cli.EXIT_OK
-    state = accountant.AccountantState(q=0.00853, sigma=1.23, delta=1e-5, tau=4698)
-    tight = accountant.spend(state, tight_conversion=True)
-    assert tight.epsilon < accountant.spend(state).epsilon
+    standard = accountant.AccountantState(q=0.00853, sigma=1.23, delta=1e-5)
+    tight = accountant.spend(dataclasses.replace(standard, tight_conversion=True), 4698)
+    assert tight.epsilon < accountant.spend(standard, 4698).epsilon
     out = capsys.readouterr().out
     assert out.startswith(f"epsilon = {tight.epsilon:.6f} at alpha = {tight.best_alpha} ")
 
@@ -413,6 +421,12 @@ def test_privacy_rejects_bad_parameters(capsys):
         ["privacy", "--q", "2.0", "--sigma", "1.0", "--delta", "1e-5", "--tau", "1"]
     )
     assert code == cli.EXIT_INVALID_CONFIG
+
+
+def test_privacy_rejects_negative_tau(capsys):
+    argv = ["privacy", "--q", "0.5", "--sigma", "1.0", "--delta", "1e-5", "--tau", "-1"]
+    assert cli.main(argv) == cli.EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == "error: tau=-1 must be >= 0\n"
 
 
 def test_runs_on_numpy_alone(tmp_path):

@@ -146,9 +146,9 @@ class TestTrain:
             q=min(cfg.lot_size / 900, 1.0),  # 1000 minus the 10% held-out split
             sigma=cfg.sigma,
             delta=cfg.delta,
-            tau=records[-1].tau,
+            tight_conversion=tight,
         )
-        recomputed = accountant.spend(state, tight)
+        recomputed = accountant.spend(state, records[-1].tau)
         assert records[-1].epsilon_so_far == spend_.epsilon == recomputed.epsilon
 
     def test_epsilon_nondecreasing_and_capped_by_budget(self):
@@ -211,6 +211,24 @@ class TestTraces:
         )
         with pytest.raises(ValueError):
             read_trace(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1,0,10.0", "4 fields, expected 11"),
+            ("1,1,0,10.0,-0.5,1.0,true,false,0.5,nan,0.1,7", "12 fields, expected 11"),
+            ("1,1,0,10.0,abc,1.0,true,false,0.5,nan,0.1", "could not convert string to float: 'abc'"),
+            ("1,1,0,10.0,-0.5,1.0,yes,false,0.5,nan,0.1", "not a boolean: 'yes'"),
+        ],
+        ids=["4_fields", "12_fields", "bad_float", "bad_boolean"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "trace.csv"
+        good = "1,1,0,10.0,-0.5,1.0,true,false,0.5,nan,0.1"
+        path.write_text("\n".join([",".join(TRACE_COLUMNS), good, row]) + "\n")
+        with pytest.raises(DataFileError) as info:
+            read_trace(path)
+        assert str(info.value) == f"{path}:3: {message}"
 
     @pytest.mark.parametrize("text", ["", "t,tau\n1,1\n"], ids=["empty", "foreign_header"])
     def test_file_without_trace_header_is_a_data_file_error(self, tmp_path, text):

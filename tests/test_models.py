@@ -348,3 +348,6 @@ def test_spec_validation():
         ModelSpec("mlp", 3, 2, layer_widths=())
     with pytest.raises(ValueError):
         ModelSpec("mlp", 3, 2, layer_widths=(4,), activation="swish")
+    for architecture, k in (("softmax_regression", 2), ("linear_regression", 1)):
+        with pytest.raises(ValueError, match="mlp only"):
+            ModelSpec(architecture, 3, k, layer_widths=(4,))
