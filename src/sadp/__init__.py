@@ -5,8 +5,6 @@ from .accountant import (
     PrivacySpend,
     max_steps_within,
     rdp_per_step,
-    rdp_to_dp,
-    rdp_to_dp_tight,
     spend,
 )
 from .annealer import (
@@ -16,8 +14,8 @@ from .annealer import (
     advance,
     decide,
 )
-from .data import LabeledDataset, SamplerConfig, load_csv, load_idx, poisson_sample, split, synth_blobs, synth_linear
-from .dp_optimizer import ClipPolicy, NoisePolicy, clip_batch, clipped_grad_sum, noisy_average, sgd_step
+from .data import LabeledDataset, load_csv, load_idx, poisson_sample, split, synth_blobs, synth_linear
+from .dp_optimizer import ClipPolicy, clip_batch, clipped_grad_sum, noisy_average, sgd_step
 from .harness import IterationRecord, TrainConfig, compare, emit_trace, load_config, train
 from .models import Batch, ModelSpec, evaluate, init_params, per_example_losses_grads, to_batch
 

@@ -26,15 +26,10 @@ _ALPHAS.flags.writeable = False
 
 
 def _check_q_sigma(q: float, sigma: float) -> None:
-    if not 0.0 <= q <= 1.0:
-        raise InvalidParameterError(f"sampling rate q={q} must be in [0, 1]")
+    if not 0.0 < q <= 1.0:
+        raise InvalidParameterError(f"sampling rate q={q} must be in (0, 1]")
     if not sigma > 0.0:
         raise InvalidParameterError(f"noise multiplier sigma={sigma} must be > 0")
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta={delta} must be in (0, 1)")
 
 
 def _log_binomials(alphas: tuple[int, ...]) -> np.ndarray:
@@ -63,8 +58,9 @@ def _logsumexp_down(terms: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(top), np.log1p(rest) + np.log(count) + top, top)
 
 
-def _rdp_curve(q: float, sigma: float, alphas: tuple[int, ...]) -> np.ndarray:
-    """Per-step RDP epsilon of the subsampled Gaussian at each integer order.
+def _rdp_curve(q: float, sigma: float) -> np.ndarray:
+    """Per-step RDP epsilon of the subsampled Gaussian at each order of
+    DEFAULT_ALPHA_GRID, for q in (0, 1].
 
     The moment sum
 
@@ -75,19 +71,15 @@ def _rdp_curve(q: float, sigma: float, alphas: tuple[int, ...]) -> np.ndarray:
 
         A_alpha - 1 = sum_{k>=2} C(alpha,k) (1-q)^(alpha-k) q^k expm1((k^2-k)/(2 sigma^2)),
 
-    one log-sum-exp down the k axis of a (max alpha - 1, len(alphas)) array
-    whose entries with k > alpha are -inf. The log domain keeps the result
-    finite for large alpha and small sigma, and the log1p form keeps full
-    relative precision at small q. The log-binomials are exact (from integer
-    binomials), read from a table built at import for the default grid.
-    What is left is the rounding of each term's exponent, about an ulp of
-    its largest piece: where k log q and the Gaussian exponent nearly cancel,
-    the relative error reaches a few 1e-14.
+    one log-sum-exp down the k axis of a (63, 63) array whose entries with
+    k > alpha are -inf. The log domain keeps the result finite for large
+    alpha and small sigma, and the log1p form keeps full relative precision
+    at small q. The log-binomials are exact (from integer binomials), read
+    from a table built at import. What is left is the rounding of each
+    term's exponent, about an ulp of its largest piece: where k log q and the
+    Gaussian exponent nearly cancel, the relative error reaches a few 1e-14.
     """
-    if q == 0.0:
-        return np.zeros(len(alphas))
-    log_binomials = _LOG_BINOMIALS if alphas == DEFAULT_ALPHA_GRID else _log_binomials(alphas)
-    alpha = np.asarray(alphas, dtype=np.float64)
+    alpha = _ALPHAS
     k = np.arange(2, alpha.max() + 1)[:, None]
     log_q = math.log(q) if q < 1.0 else 0.0
     log_1mq = math.log1p(-q) if q < 1.0 else -math.inf
@@ -96,7 +88,7 @@ def _rdp_curve(q: float, sigma: float, alphas: tuple[int, ...]) -> np.ndarray:
     # all; mask both explicitly (c underflows to 0 only at huge sigma)
     with np.errstate(invalid="ignore", divide="ignore"):
         terms = (
-            log_binomials
+            _LOG_BINOMIALS
             + np.where(k == alpha, 0.0, (alpha - k) * log_1mq)
             + k * log_q
             + c + np.log(-np.expm1(-c))      # log expm1(c), without overflow
@@ -117,22 +109,22 @@ class AccountantState:
 
     def __post_init__(self):
         _check_q_sigma(self.q, self.sigma)
-        if self.q == 0.0:
-            raise InvalidParameterError("sampling rate q must be positive")
-        _check_delta(self.delta)
+        if not 0.0 < self.delta < 1.0:
+            raise InvalidParameterError(f"delta={self.delta} must be in (0, 1)")
 
     @cached_property
     def rdp(self) -> np.ndarray:
         """Per-step RDP at each order of DEFAULT_ALPHA_GRID, built once per state."""
-        curve = _rdp_curve(self.q, self.sigma, DEFAULT_ALPHA_GRID)
+        curve = _rdp_curve(self.q, self.sigma)
         curve.flags.writeable = False
         return curve
 
     def epsilons(self, tau) -> np.ndarray:
-        """(epsilon, delta)-DP epsilon at each order after tau charged steps;
-        tau is one count or one count per order."""
-        convert = rdp_to_dp_tight if self.tight_conversion else rdp_to_dp
-        return convert(_ALPHAS, tau * self.rdp, self.delta)
+        """(epsilon, delta)-DP epsilon at each order after tau charged steps,
+        tau * rdp_alpha plus the conversion's tail, clamped at 0 by the tight
+        conversion; tau is one count or one count per order."""
+        eps = tau * self.rdp + _tail(self.delta, self.tight_conversion)
+        return np.maximum(eps, 0.0) if self.tight_conversion else eps
 
     def epsilon(self, tau) -> float:
         """epsilon after tau charged steps: the min over orders."""
@@ -151,41 +143,24 @@ class PrivacySpend:
 
 
 def rdp_per_step(q: float, sigma: float, alpha: int) -> float:
-    """Per-step RDP epsilon of the subsampled Gaussian at integer order alpha,
-    read from the curve over the default grid (or over alpha alone, off it)."""
+    """Per-step RDP epsilon of the subsampled Gaussian at an order alpha of
+    DEFAULT_ALPHA_GRID (2..64), for q in (0, 1]."""
     _check_q_sigma(q, sigma)
-    if alpha < 2 or alpha != int(alpha):
-        raise InvalidParameterError(f"alpha={alpha} must be an integer >= 2")
-    grid = DEFAULT_ALPHA_GRID if alpha in DEFAULT_ALPHA_GRID else (int(alpha),)
-    return float(_rdp_curve(q, sigma, grid)[grid.index(alpha)])
+    if alpha not in DEFAULT_ALPHA_GRID:
+        raise InvalidParameterError(f"alpha={alpha} must be an integer order in 2..64")
+    return float(_rdp_curve(q, sigma)[DEFAULT_ALPHA_GRID.index(alpha)])
 
 
-def _tail(alpha, delta: float, tight: bool):
-    """What a conversion adds to the RDP epsilon at each order, before the
-    tight conversion's clamp at 0."""
-    _check_delta(delta)
-    alpha = np.asarray(alpha, dtype=np.float64)
+def _tail(delta: float, tight: bool) -> np.ndarray:
+    """What the RDP-to-DP conversion adds to the RDP epsilon at each order of
+    the grid, before the tight conversion's clamp at 0: log(1/delta)/(alpha-1)
+    for the standard conversion, log((alpha-1)/alpha) - (log delta +
+    log alpha)/(alpha-1) for the tight one. The standard conversion is the
+    default, and what published accuracy/budget tables assume."""
+    alpha = _ALPHAS
     if tight:
         return np.log((alpha - 1) / alpha) - (math.log(delta) + np.log(alpha)) / (alpha - 1)
     return math.log(1.0 / delta) / (alpha - 1)
-
-
-def rdp_to_dp(alpha, rdp_eps, delta: float):
-    """Standard conversion: eps_DP = eps_RDP + log(1/delta)/(alpha-1).
-
-    Elementwise over arrays of orders and RDP epsilons.
-    """
-    return rdp_eps + _tail(alpha, delta, tight=False)
-
-
-def rdp_to_dp_tight(alpha, rdp_eps, delta: float):
-    """Tighter conversion, eps_RDP + log((alpha-1)/alpha) - (log delta +
-    log alpha)/(alpha-1), clamped below at 0; elementwise like rdp_to_dp.
-
-    Off by default in the training configs; the standard conversion is what
-    published accuracy/budget tables assume.
-    """
-    return np.maximum(rdp_eps + _tail(alpha, delta, tight=True), 0.0)
 
 
 def spend(state: AccountantState, tau: int, computed: int | None = None) -> PrivacySpend:
@@ -225,7 +200,7 @@ def max_steps_within(state: AccountantState, eps_budget: float) -> int:
             f"(epsilon {eps_one:.6g} at q={state.q:.6g}, sigma={state.sigma})"
         )
     rdp = state.rdp
-    tail = _tail(_ALPHAS, state.delta, state.tight_conversion)
+    tail = _tail(state.delta, state.tight_conversion)
     if np.any((rdp == 0.0) & (tail <= eps_budget)):
         raise InvalidParameterError(
             f"the per-step cost at q={state.q:.6g}, sigma={state.sigma} is 0, "

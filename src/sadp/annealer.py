@@ -31,24 +31,14 @@ class AnnealerState:
     Q0: float = 10.0
     mu0: int = 10
     energy: float = math.inf
-    clamp_tau_floor: bool = False
 
     @classmethod
-    def initial(
-        cls,
-        Q0: float,
-        mu0: int,
-        energy: float = math.inf,
-        clamp_tau_floor: bool = False,
-    ) -> "AnnealerState":
+    def initial(cls, Q0: float, mu0: int, energy: float = math.inf) -> "AnnealerState":
         if Q0 <= 0:
             raise InvalidParameterError("Q0 must be > 0")
         if mu0 < 1:
             raise InvalidParameterError("mu0 must be >= 1")
-        return cls(
-            t=0, tau=0, mu=0, Q=Q0, Q0=Q0, mu0=mu0,
-            energy=energy, clamp_tau_floor=clamp_tau_floor,
-        )
+        return cls(t=0, tau=0, mu=0, Q=Q0, Q0=Q0, mu0=mu0, energy=energy)
 
 
 @dataclass(frozen=True)
@@ -98,17 +88,13 @@ def advance(
     """Fold one decision into the state.
 
     On accept: tau+1, mu reset, energy replaced. On reject: mu+1, energy
-    kept. Either way t advances and Q is recomputed as Q0 * tau (with an
-    opt-in floor of 1 on tau, for runs that want to avoid the Q=0
-    accept-everything regime after an early rejection).
+    kept. Either way t advances and Q is recomputed as Q0 * tau, so after a
+    rejection before the first acceptance Q is 0 and the next candidate with
+    a finite energy change is accepted.
     """
     if decision.accepted:
         tau, mu, energy = state.tau + 1, 0, new_energy
     else:
         tau, mu, energy = state.tau, state.mu + 1, state.energy
-    effective_tau = max(tau, 1) if state.clamp_tau_floor else tau
-    return AnnealerState(
-        state.t + 1, tau, mu, state.Q0 * effective_tau,
-        state.Q0, state.mu0, energy, state.clamp_tau_floor,
-    )
+    return AnnealerState(state.t + 1, tau, mu, state.Q0 * tau, state.Q0, state.mu0, energy)
 

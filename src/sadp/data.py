@@ -62,15 +62,6 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    q: float
-
-    def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise InvalidParameterError(f"inclusion probability q={self.q} must be in (0, 1]")
-
-
 def _read_exact(f, count, path):
     data = f.read(count)
     if len(data) != count:
@@ -176,10 +167,12 @@ def load_csv(path) -> LabeledDataset:
     return LabeledDataset(features=table[:, :-1], labels=labels.astype(np.int64))
 
 
-def poisson_sample(n: int, config: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
-    """Each index included independently with probability q, sorted output."""
-    mask = rng.random(n) < config.q
-    return np.flatnonzero(mask)
+def poisson_sample(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of 0..n-1, each included independently with
+    probability q in (0, 1]."""
+    if not 0.0 < q <= 1.0:
+        raise InvalidParameterError(f"inclusion probability q={q} must be in (0, 1]")
+    return np.flatnonzero(rng.random(n) < q)
 
 
 def synth_linear(

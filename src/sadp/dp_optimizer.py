@@ -41,18 +41,6 @@ class ClipPolicy:
             raise InvalidParameterError("gamma must be > 0 for auto_s")
 
 
-@dataclass(frozen=True)
-class NoisePolicy:
-    sigma: float
-    lot_size: int
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise InvalidParameterError("sigma must be > 0")
-        if self.lot_size < 1:
-            raise InvalidParameterError("lot_size must be >= 1")
-
-
 def _clip_scale(norms, policy: ClipPolicy):
     """Per-example factors that bound gradients of l2 norm `norms`; an
     overflowing (infinite) norm gets scale 0."""
@@ -95,18 +83,20 @@ def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
 
 
 def noisy_average(
-    clipped_sum: np.ndarray,
-    noise: NoisePolicy,
-    clip_norm: float,
-    rng: np.random.Generator,
+    clipped_sum: np.ndarray, noise_std: float, lot_size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(sum of clipped gradients + N(0, sigma^2 C^2 I)) / lot_size.
+    """(sum of clipped gradients + N(0, noise_std^2 I)) / lot_size.
 
-    The divisor is the nominal lot size, not the realized batch cardinality.
-    An empty batch passes a zero vector and gets pure noise.
+    DP-SGD's noise_std is sigma * C, the noise multiplier times the clip
+    norm. The divisor is the nominal lot size, not the realized batch
+    cardinality. An empty batch passes a zero vector and gets pure noise.
     """
-    z = rng.normal(0.0, noise.sigma * clip_norm, size=len(clipped_sum))
-    return (clipped_sum + z) / noise.lot_size
+    if noise_std <= 0:
+        raise InvalidParameterError("noise_std must be > 0")
+    if lot_size < 1:
+        raise InvalidParameterError("lot_size must be >= 1")
+    z = rng.normal(0.0, noise_std, size=len(clipped_sum))
+    return (clipped_sum + z) / lot_size
 
 
 def sgd_step(w: np.ndarray, g_tilde: np.ndarray, eta: float) -> np.ndarray:

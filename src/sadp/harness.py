@@ -20,7 +20,7 @@ import numpy.random  # numpy 2 loads it lazily: import it with sadp, not in a ru
 
 from . import accountant, annealer, data, dp_optimizer, models
 from .errors import DataFileError, DimensionMismatchError, InvalidConfigError
-from .errors import NonFiniteParametersError
+from .errors import NonFiniteParametersError, SadpError
 
 EPS_SENTINEL_ITERS = 10_000_000
 
@@ -45,7 +45,6 @@ class TrainConfig:
     eval_set: str = "held_out"               # held_out | test
     eval_fraction: float = 0.1
     seed: int = 0
-    clamp_tau_floor: bool = False
     tight_conversion: bool = False
     dataset: str = "synth_blobs"             # idx | csv | synth_linear | synth_blobs
     idx_train_images: str = ""
@@ -126,8 +125,16 @@ def parse_config_text(text: str) -> TrainConfig:
         raise InvalidConfigError(str(exc)) from exc
 
 
+def _read_text(path, error: type[SadpError]) -> str:
+    """A UTF-8 text file's contents; any other bytes raise `error` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_config(path) -> TrainConfig:
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(_read_text(path, InvalidConfigError))
 
 
 @dataclass(frozen=True)
@@ -259,15 +266,12 @@ def train(config: TrainConfig):
 
     w = models.init_params(spec, init_rng)
     clip_policy = dp_optimizer.ClipPolicy(config.clip_kind, config.clip_norm, config.gamma)
-    noise_policy = dp_optimizer.NoisePolicy(config.sigma, config.lot_size)
-    sampler = data.SamplerConfig(q=q)
+    noise_std = config.sigma * config.clip_norm
 
     with np.errstate(over="ignore", invalid="ignore"):
         energy, cur_acc = models.evaluate(spec, w, eval_batch)
     _check_energy(energy, "at the initial parameters")
-    state = annealer.AnnealerState.initial(
-        config.q0, config.mu0, energy=energy, clamp_tau_floor=config.clamp_tau_floor
-    )
+    state = annealer.AnnealerState.initial(config.q0, config.mu0, energy=energy)
 
     records: list[IterationRecord] = []
     eps_tau, epsilon = None, math.nan   # epsilon_so_far changes only with tau
@@ -275,13 +279,11 @@ def train(config: TrainConfig):
         if max_charged is not None and state.tau >= max_charged:
             break
 
-        rows = train_rows[data.poisson_sample(len(train_rows), sampler, sample_rng)]
+        rows = train_rows[data.poisson_sample(len(train_rows), q, sample_rng)]
         clipped_sum = dp_optimizer.clipped_grad_sum(
             spec, w, dataset.features[rows], dataset.labels[rows], clip_policy
         )
-        g_tilde = dp_optimizer.noisy_average(
-            clipped_sum, noise_policy, config.clip_norm, noise_rng
-        )
+        g_tilde = dp_optimizer.noisy_average(clipped_sum, noise_std, config.lot_size, noise_rng)
         # overflow surfaces as non-finite parameters (evaluate raises) or a
         # non-finite energy (rejected, or raised below once applied)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -341,9 +343,10 @@ def emit_trace(records, path) -> None:
 
 def read_trace(path) -> list[IterationRecord]:
     """Inverse of emit_trace; each value is parsed by its field's type, as
-    config values are. A missing or wrong header, a row of another width or
-    a malformed value raises DataFileError naming the file and line."""
-    lines = Path(path).read_text().splitlines()
+    config values are. A file that is not UTF-8 text or lacks the header
+    raises DataFileError naming the file; a row of another width or a
+    malformed value, naming the file and line."""
+    lines = _read_text(path, DataFileError).splitlines()
     if not lines or lines[0].split(",") != TRACE_COLUMNS:
         raise DataFileError(f"{path}: unexpected trace header")
     hints = typing.get_type_hints(IterationRecord)

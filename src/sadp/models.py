@@ -17,6 +17,7 @@ is example i's [W; b] gradient.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -251,7 +252,7 @@ def load_checkpoint(path) -> np.ndarray:
         version, length = struct.unpack("<IQ", header[4:])
         if version != CHECKPOINT_VERSION:
             raise DataFileError(f"{path}: unsupported checkpoint version {version}")
-        data = f.read(8 * length)
-        if len(data) != 8 * length:
+        # checked before reading: a length past the file would ask read() for up to 2^67 bytes
+        if os.fstat(f.fileno()).st_size < 16 + 8 * length:
             raise DataFileError(f"{path}: truncated checkpoint")
-        return np.frombuffer(data, dtype="<f8").copy()
+        return np.frombuffer(f.read(8 * length), dtype="<f8").copy()

@@ -17,8 +17,6 @@ from sadp.accountant import (
     InvalidParameterError,
     max_steps_within,
     rdp_per_step,
-    rdp_to_dp,
-    rdp_to_dp_tight,
     spend,
 )
 
@@ -59,9 +57,6 @@ class TestRdpPerStep:
         # q=1 leaves only the top term of the moment sum: alpha / (2 sigma^2)
         assert rdp_per_step(1.0, 2.0, 4) == pytest.approx(0.5, abs=1e-12)
 
-    def test_zero_sampling_rate_costs_nothing(self):
-        assert rdp_per_step(0.0, 1.0, 8) == 0.0
-
     def test_matches_high_precision_oracle(self, golden_rdp):
         expected = golden_rdp[(0.0085333333333333, 1.23, 16)]
         got = rdp_per_step(MNIST_Q, 1.23, 16)
@@ -88,11 +83,6 @@ class TestRdpPerStep:
             expected, bound = _mpmath_rdp(q, sigma, alpha)
             assert abs(value - expected) <= bound * expected, alpha
 
-    @pytest.mark.parametrize("q,sigma", [(0.01, 1.0), (MNIST_Q, 1.23), (0.5, 2.0)])
-    def test_off_grid_order_matches_mpmath(self, q, sigma):
-        expected, bound = _mpmath_rdp(q, sigma, 100)
-        assert abs(rdp_per_step(q, sigma, 100) - expected) <= bound * expected
-
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("alpha", [2, 3, 17, 64])
     def test_analytic_limit_across_orders(self, sigma, alpha):
@@ -116,7 +106,8 @@ class TestRdpPerStep:
 
     @pytest.mark.parametrize(
         "q,sigma,alpha",
-        [(-0.1, 1.0, 2), (1.5, 1.0, 2), (0.5, 0.0, 2), (0.5, -1.0, 2), (0.5, 1.0, 1)],
+        [(-0.1, 1.0, 2), (1.5, 1.0, 2), (0.0, 1.0, 2), (0.5, 0.0, 2), (0.5, -1.0, 2),
+         (0.5, 1.0, 1), (0.5, 1.0, 65), (0.5, 1.0, 100), (0.5, 1.0, 2.5)],
     )
     def test_rejects_bad_parameters(self, q, sigma, alpha):
         with pytest.raises(InvalidParameterError):
@@ -130,62 +121,99 @@ def test_log_sum_exp_counts_tied_maxima_and_keeps_infinite_columns():
     assert got[2] == -np.inf
 
 
-@pytest.mark.parametrize("tight, convert", [(False, rdp_to_dp), (True, rdp_to_dp_tight)])
+def standard_conversion(alpha, rdp_eps, delta):
+    """eps_RDP + log(1/delta)/(alpha-1), in scalar floats: a reference."""
+    return rdp_eps + math.log(1.0 / delta) / (alpha - 1)
+
+
+def tight_conversion(alpha, rdp_eps, delta):
+    """eps_RDP + log((alpha-1)/alpha) - (log delta + log alpha)/(alpha-1),
+    clamped below at 0, in scalar floats: a reference."""
+    tail = math.log((alpha - 1) / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
+    return max(rdp_eps + tail, 0.0)
+
+
+@pytest.mark.parametrize(
+    "tight, convert", [(False, standard_conversion), (True, tight_conversion)]
+)
 @pytest.mark.parametrize("tau", [0, 1, 100, 4698, 10**6])
 def test_spend_is_min_over_orders_of_converted_composition(tau, tight, convert):
+    state = AccountantState(MNIST_Q, 1.23, 1e-5, tight)
+    expected = [
+        convert(a, tau * rdp_per_step(MNIST_Q, 1.23, a), 1e-5) for a in DEFAULT_ALPHA_GRID
+    ]
+    np.testing.assert_allclose(state.epsilons(tau), expected, rtol=1e-14, atol=0.0)
     # ties go to the smallest order, as min() keeps the first
-    eps, alpha = min(
-        (convert(a, tau * rdp_per_step(MNIST_Q, 1.23, a), 1e-5), a)
-        for a in DEFAULT_ALPHA_GRID
-    )
-    result = spend(AccountantState(MNIST_Q, 1.23, 1e-5, tight), tau)
+    eps, alpha = min(zip(state.epsilons(tau), DEFAULT_ALPHA_GRID))
+    assert eps == pytest.approx(min(expected), rel=1e-14)
+    result = spend(state, tau)
     assert (result.epsilon, result.best_alpha) == (eps, alpha)
 
 
 class TestConversions:
+    """Each conversion as AccountantState.epsilons applies it, order by order,
+    against the formula written out above."""
+
+    @staticmethod
+    def epsilon_at(alpha, tau, delta, tight=False, q=MNIST_Q, sigma=1.23):
+        state = AccountantState(q, sigma, delta, tight)
+        return state.epsilons(tau)[alpha - 2], tau * state.rdp[alpha - 2]
+
     def test_standard_tail_term(self):
-        assert rdp_to_dp(2, 0.0, math.exp(-1)) == pytest.approx(1.0)
+        assert self.epsilon_at(2, 0, math.exp(-1))[0] == pytest.approx(1.0)
 
     def test_standard_large_order(self):
-        assert rdp_to_dp(64, 0.0, 1e-5) == pytest.approx(math.log(1e5) / 63)
-        assert rdp_to_dp(64, 0.0, 1e-5) == pytest.approx(0.18274, abs=1e-5)
+        eps, _ = self.epsilon_at(64, 0, 1e-5)
+        assert eps == pytest.approx(math.log(1e5) / 63)
+        assert eps == pytest.approx(0.18274, abs=1e-5)
 
     def test_standard_additivity_of_terms(self):
-        assert rdp_to_dp(11, 2.0, 1e-5) == pytest.approx(2.0 + math.log(1e5) / 10)
+        eps, rdp = self.epsilon_at(11, 1000, 1e-5)
+        assert rdp > 0
+        assert eps == pytest.approx(rdp + math.log(1e5) / 10)
+        assert eps == pytest.approx(standard_conversion(11, rdp, 1e-5), rel=1e-15)
 
     def test_tight_clamps_at_zero(self):
         # the unclamped value is -log 2
-        assert rdp_to_dp_tight(2, 0.0, 0.5) == 0.0
+        assert self.epsilon_at(2, 0, 0.5, tight=True)[0] == 0.0
 
     def test_tight_beats_standard_when_delta_small(self):
         # closed-form check, independent arithmetic
-        alpha, eps, delta = 64, 1.0, 1e-5
-        expected = (
-            1.0 + math.log(63 / 64) - (math.log(1e-5) + math.log(64)) / 63
-        )
-        assert rdp_to_dp_tight(alpha, eps, delta) == pytest.approx(expected)
+        eps, rdp = self.epsilon_at(64, 1000, 1e-5, tight=True)
+        expected = rdp + math.log(63 / 64) - (math.log(1e-5) + math.log(64)) / 63
+        assert eps == pytest.approx(expected)
+        assert eps < self.epsilon_at(64, 1000, 1e-5)[0]
 
     def test_tight_never_worse_on_random_sweep(self):
         import random
 
         rnd = random.Random(7)
-        for _ in range(500):
-            alpha = rnd.randint(2, 64)
-            eps = rnd.uniform(0, 5)
-            delta = rnd.uniform(1e-9, 1 / alpha)
-            assert rdp_to_dp_tight(alpha, eps, delta) <= rdp_to_dp(alpha, eps, delta)
+        for _ in range(100):
+            q, sigma = rnd.uniform(1e-4, 1.0), rnd.uniform(0.3, 8.0)
+            delta, tau = rnd.uniform(1e-9, 0.5), rnd.randint(0, 10**4)
+            standard = AccountantState(q, sigma, delta).epsilons(tau)
+            tight = AccountantState(q, sigma, delta, tight_conversion=True).epsilons(tau)
+            assert np.all(tight <= standard)
+            for alpha in (2, 9, 64):
+                rdp = tau * rdp_per_step(q, sigma, alpha)
+                want_tight = tight_conversion(alpha, rdp, delta)
+                want_standard = standard_conversion(alpha, rdp, delta)
+                assert tight[alpha - 2] == pytest.approx(want_tight, rel=1e-12, abs=1e-15)
+                assert standard[alpha - 2] == pytest.approx(want_standard, rel=1e-12)
 
     def test_elementwise_over_orders(self):
-        alphas = np.array([2, 9, 64])
-        for convert in (rdp_to_dp, rdp_to_dp_tight):
-            got = convert(alphas, np.array([0.0, 0.5, 3.0]), 0.01)
-            assert list(got) == [convert(a, e, 0.01) for a, e in zip(alphas, (0.0, 0.5, 3.0))]
+        # max_steps_within asks for each order at its own tau
+        taus = np.arange(len(DEFAULT_ALPHA_GRID)) * 37.0
+        for tight in (False, True):
+            state = AccountantState(0.01, 1.0, 0.01, tight)
+            got = state.epsilons(taus)
+            assert list(got) == [state.epsilons(t)[i] for i, t in enumerate(taus)]
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(InvalidParameterError):
-            rdp_to_dp(2, 0.0, 0.0)
-        with pytest.raises(InvalidParameterError):
-            rdp_to_dp_tight(2, 0.0, 1.0)
+        for delta in (0.0, 1.0, -1e-5, math.nan):
+            for tight in (False, True):
+                with pytest.raises(InvalidParameterError, match=r"must be in \(0, 1\)$"):
+                    AccountantState(0.5, 1.0, delta, tight)
 
 
 class TestSpend:

@@ -18,8 +18,8 @@ from sadp.annealer import (
 )
 
 
-def fresh_state(Q0=10.0, mu0=10, energy=1.0, **kw):
-    return AnnealerState.initial(Q0, mu0, energy=energy, **kw)
+def fresh_state(Q0=10.0, mu0=10, energy=1.0):
+    return AnnealerState.initial(Q0, mu0, energy=energy)
 
 
 class TestAcceptanceProbability:
@@ -91,11 +91,6 @@ class TestAdvance:
         out = advance(state, Decision(False, False, 0.1), new_energy=2.0)
         assert (out.t, out.tau, out.mu, out.Q) == (1, 0, 1, 0.0)
         assert out.energy == state.energy
-
-    def test_clamp_tau_floor_keeps_initial_temperature(self):
-        state = fresh_state(Q0=10.0, clamp_tau_floor=True)
-        out = advance(state, Decision(False, False, 0.1), new_energy=2.0)
-        assert out.Q == 10.0
 
     def test_rejection_cap_forces_eleventh_decision(self):
         state = fresh_state(mu0=10)

@@ -361,6 +361,16 @@ def test_infeasible_budget_exits_3(tmp_path):
     assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_BUDGET_INFEASIBLE
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys, command):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(SMALL_CFG.encode() + b"\xff\xfe\x00\x01")
+    flag = ["train", "--config"] if command == "train" else ["compare", "--seeds", "0", "--configs"]
+    argv = [*flag, str(cfg), "--out", str(tmp_path / "out")]
+    err = assert_exits_2_without_traceback(capsys, argv)
+    assert err.startswith(f"error: {cfg}: not UTF-8 text")
+
+
 def test_missing_config_exits_4(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.cfg")]) == cli.EXIT_IO_ERROR
 

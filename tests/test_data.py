@@ -7,8 +7,8 @@ import pytest
 from sadp.data import (
     BadMagicError,
     CountMismatchError,
+    InvalidParameterError,
     LabeledDataset,
-    SamplerConfig,
     TruncatedFileError,
     load_csv,
     load_idx,
@@ -122,24 +122,24 @@ class TestLoadIdx:
 
 class TestPoissonSample:
     def test_full_inclusion(self):
-        idx = poisson_sample(100, SamplerConfig(q=1.0), np.random.default_rng(0))
+        idx = poisson_sample(100, 1.0, np.random.default_rng(0))
         np.testing.assert_array_equal(idx, np.arange(100))
 
     def test_sorted_and_in_range(self):
-        idx = poisson_sample(1000, SamplerConfig(q=0.3), np.random.default_rng(1))
+        idx = poisson_sample(1000, 0.3, np.random.default_rng(1))
         assert np.all(np.diff(idx) > 0)
         assert idx.min() >= 0 and idx.max() < 1000
 
     def test_tiny_rate_expected_size(self):
         rng = np.random.default_rng(2)
-        sizes = [len(poisson_sample(10**6, SamplerConfig(q=1e-6), rng)) for _ in range(200)]
+        sizes = [len(poisson_sample(10**6, 1e-6, rng)) for _ in range(200)]
         assert 0.5 <= np.mean(sizes) <= 2.0
 
     def test_mean_batch_size(self):
         n, b, draws = 60000, 512, 10_000
         rng = np.random.default_rng(3)
         q = b / n
-        sizes = [len(poisson_sample(n, SamplerConfig(q=q), rng)) for _ in range(draws)]
+        sizes = [len(poisson_sample(n, q, rng)) for _ in range(draws)]
         tol = 3 * np.sqrt(n * q * (1 - q) / draws)
         assert abs(np.mean(sizes) - b) <= tol
 
@@ -148,7 +148,7 @@ class TestPoissonSample:
         rng = np.random.default_rng(4)
         hits = np.zeros((draws, n))
         for i in range(draws):
-            hits[i, poisson_sample(n, SamplerConfig(q=0.5), rng)] = 1
+            hits[i, poisson_sample(n, 0.5, rng)] = 1
         corr = np.corrcoef(hits, rowvar=False)
         off_diag = corr[~np.eye(n, dtype=bool)]
         assert np.max(np.abs(off_diag)) < 4 / np.sqrt(draws)
@@ -158,8 +158,13 @@ class TestPoissonSample:
         # the stream must equal uniform(size=n) < q draw for draw
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for n, q in ((0, 0.5), (1, 0.5), (17, 0.3), (1000, 0.05), (16000, 0.004)):
-            idx = poisson_sample(n, SamplerConfig(q=q), rng)
+            idx = poisson_sample(n, q, rng)
             np.testing.assert_array_equal(idx, np.flatnonzero(ref.uniform(size=n) < q))
+
+    @pytest.mark.parametrize("q", [0.0, -0.1, 1.5, float("nan")])
+    def test_rejects_rate_outside_unit_interval(self, q):
+        with pytest.raises(InvalidParameterError, match=r"q=.* must be in \(0, 1\]$"):
+            poisson_sample(10, q, np.random.default_rng(0))
 
 
 class TestSynthLinear:

@@ -10,7 +10,7 @@ from sadp import annealer, errors, models
 from sadp.dp_optimizer import (
     ClipPolicy,
     DimensionMismatchError,
-    NoisePolicy,
+    InvalidParameterError,
     NonFiniteInputError,
     clip_batch,
     clipped_grad_sum,
@@ -234,28 +234,33 @@ def test_error_types_are_shared_across_modules():
 
 class TestNoisyAverage:
     def test_near_noiseless_average(self):
-        noise = NoisePolicy(sigma=1e-12, lot_size=2)
-        out = noisy_average(np.array([1.0, 1.0]), noise, 1.0, np.random.default_rng(0))
+        out = noisy_average(np.array([1.0, 1.0]), 1e-12, 2, np.random.default_rng(0))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-9)
 
     def test_empty_batch_is_pure_noise(self):
-        noise = NoisePolicy(sigma=1.0, lot_size=2)
-        out = noisy_average(np.zeros(100_000), noise, 1.0, np.random.default_rng(0))
+        out = noisy_average(np.zeros(100_000), 1.0, 2, np.random.default_rng(0))
         assert out.std() == pytest.approx(1.0 / 2, rel=0.02)
 
     def test_noise_scale_matches_specification(self):
         # per-coordinate std must be sigma * C / B
         sigma, c, b = 2.0, 0.5, 4
-        noise = NoisePolicy(sigma=sigma, lot_size=b)
-        out = noisy_average(np.zeros(100_000), noise, c, np.random.default_rng(42))
+        out = noisy_average(np.zeros(100_000), sigma * c, b, np.random.default_rng(42))
         assert out.std() == pytest.approx(sigma * c / b, rel=0.02)
 
     def test_deterministic_per_seed(self):
         total = np.ones(5)
-        noise = NoisePolicy(sigma=1.0, lot_size=2)
-        a = noisy_average(total, noise, 1.0, np.random.default_rng(9))
-        b = noisy_average(total, noise, 1.0, np.random.default_rng(9))
+        a = noisy_average(total, 1.0, 2, np.random.default_rng(9))
+        b = noisy_average(total, 1.0, 2, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "noise_std, lot_size, message",
+        [(0.0, 1, "noise_std must be > 0"), (-1.0, 1, "noise_std must be > 0"),
+         (1.0, 0, "lot_size must be >= 1")],
+    )
+    def test_rejects_bad_noise_or_lot_size(self, noise_std, lot_size, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            noisy_average(np.zeros(3), noise_std, lot_size, np.random.default_rng(0))
 
     def test_replacing_one_gradient_moves_sum_at_most_2c(self):
         rng = np.random.default_rng(4)
@@ -305,7 +310,3 @@ class TestPolicies:
             ClipPolicy("abadi", 0.0)
         with pytest.raises(ValueError):
             ClipPolicy("auto_s", 1.0, gamma=0.0)
-        with pytest.raises(ValueError):
-            NoisePolicy(sigma=0.0, lot_size=1)
-        with pytest.raises(ValueError):
-            NoisePolicy(sigma=1.0, lot_size=0)

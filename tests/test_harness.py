@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import pathlib
@@ -84,6 +85,20 @@ class TestConfigParsing:
     def test_bad_configs_rejected(self, text):
         with pytest.raises(InvalidConfigError):
             parse_config_text(text)
+
+    def test_readme_config_table_lists_exactly_the_config_keys(self):
+        # the key column's backticked names, each once, against TrainConfig
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8").splitlines()
+        start = readme.index("| key | meaning |") + 2
+        rows = itertools.takewhile(lambda line: line.startswith("|"), readme[start:])
+        keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    def test_clamp_tau_floor_is_an_unknown_key(self):
+        # Q = Q0 * tau has no opt-out: the old floor on tau is not a key
+        with pytest.raises(InvalidConfigError, match=r"^line 1: unknown key 'clamp_tau_floor'$"):
+            parse_config_text("clamp_tau_floor = true")
 
 
 class TestTrain:
@@ -237,6 +252,12 @@ class TestTraces:
         with pytest.raises(DataFileError, match="trace header"):
             read_trace(path)
 
+    def test_non_utf8_trace_is_a_data_file_error(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(",".join(TRACE_COLUMNS).encode() + b"\n\x80\x81,\xff\n")
+        with pytest.raises(DataFileError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            read_trace(path)
+
     def test_numpy_scalars_written_as_plain_numbers(self, tmp_path):
         plain = IterationRecord(
             t=3, tau=2, mu=1, Q=20.0, delta_E=-0.125, P=0.5, accepted=True,
@@ -339,11 +360,6 @@ class TestClassification:
         _, _, records = train(cfg)
         assert len(records) == 20
 
-    def test_clamp_tau_floor_keeps_temperature_positive(self):
-        cfg = dataclasses.replace(LINREG_CFG, clamp_tau_floor=True, max_iters=50)
-        _, _, records = train(cfg)
-        assert all(r.Q >= cfg.q0 for r in records)
-
 
 def write_random_idx(path_prefix, n, dim, seed):
     """An IDX pair of n random byte images of dim pixels and 10 classes."""
@@ -410,7 +426,7 @@ class TestIdxSplits:
         assert_widens_to(eval_set, float_eval)
         # all rows, a Poisson batch and an empty batch widen to the float rows
         rng = np.random.default_rng(seed)
-        batch = data.poisson_sample(train_set.n, data.SamplerConfig(q=0.3), rng)
+        batch = data.poisson_sample(train_set.n, 0.3, rng)
         for idx in (np.arange(train_set.n), batch, np.array([], dtype=np.intp)):
             assert_same_rows(
                 data.LabeledDataset(data.widen(train_set.features[idx]), train_set.labels[idx]),

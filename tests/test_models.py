@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sadp.dp_optimizer import ClipPolicy, clipped_grad_sum
 from sadp.models import (
     BOUNDED_TANH,
     RECTIFIER,
+    DataFileError,
     DimensionMismatchError,
     EmptyDatasetError,
     ModelSpec,
@@ -331,11 +333,14 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    def test_truncation_rejected(self, tmp_path):
+    @pytest.mark.parametrize("length", [2**61, 2**40, 4], ids=["2^61", "2^40", "one_short"])
+    def test_truncation_rejected(self, tmp_path, length):
+        # three values on disk; the header claims more, up to more than any
+        # memory holds, and is checked against the file's size before a read
         path = tmp_path / "model.params"
-        save_checkpoint(path, np.zeros(10))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
+        header = models.CHECKPOINT_MAGIC + struct.pack("<IQ", models.CHECKPOINT_VERSION, length)
+        path.write_bytes(header + np.zeros(3).tobytes())
+        with pytest.raises(DataFileError, match="truncated checkpoint$"):
             load_checkpoint(path)
 
 
