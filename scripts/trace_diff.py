@@ -7,23 +7,27 @@ epsilon_so_far) must be identical as text; every float column's largest
 relative difference is printed. Given two run directories (each the
 `--out` of `sadp train`), it compares their trace.csv files the same way,
 then their final.params: byte-equal, or else the largest relative
-difference of the parameters. Exits 1 if a decision column differs, the
-headers differ, the row counts differ or the parameter counts differ, 2 on
-a usage error, 0 otherwise: a change that only moves the last digits of a
-loss passes and shows by how much.
+difference of the parameters. Each final.params is read by
+`sadp.models.load_checkpoint`, from this checkout's src/. Exits 1 if a
+decision column differs, the headers differ, the row counts differ or the
+parameter counts differ; 2 on a usage error, or with one line naming the
+file when a final.params is not a valid checkpoint; 0 otherwise: a change
+that only moves the last digits of a loss passes and shows by how much.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import struct
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from sadp import models
+from sadp.errors import DataFileError
+
 IDENTICAL = ("t", "tau", "mu", "accepted", "forced", "eval_accuracy", "epsilon_so_far")
 FLOATS = ("Q", "delta_E", "P", "eval_loss", "eval_accuracy", "epsilon_so_far")
-CHECKPOINT_HEADER = 16  # magic, u32 version, u64 length; little-endian f64s follow
 
 
 def _read(path):
@@ -39,11 +43,6 @@ def _rel_diff(a, b) -> float:
     if not (math.isfinite(x) and math.isfinite(y)):
         return math.inf
     return abs(x - y) / max(abs(x), abs(y))
-
-
-def _params(path) -> tuple[float, ...]:
-    raw = Path(path).read_bytes()[CHECKPOINT_HEADER:]
-    return struct.unpack_from(f"<{len(raw) // 8}d", raw)
 
 
 def diff_traces(path_a, path_b) -> bool:
@@ -73,11 +72,12 @@ def diff_traces(path_a, path_b) -> bool:
 
 
 def diff_params(path_a, path_b) -> bool:
-    """Prints the comparison; True if the parameter counts agree."""
+    """Prints the comparison; True if the parameter counts agree. A file
+    that is not a valid checkpoint raises DataFileError naming it."""
+    a, b = models.load_checkpoint(path_a), models.load_checkpoint(path_b)
     if Path(path_a).read_bytes() == Path(path_b).read_bytes():
         print("final.params: byte-equal")
         return True
-    a, b = _params(path_a), _params(path_b)
     if len(a) != len(b):
         print(f"final.params: parameter counts differ: {len(a)} vs {len(b)}")
         return False
@@ -95,7 +95,11 @@ def main(argv=None) -> int:
     if not a.is_dir():
         return 0 if diff_traces(a, b) else 1
     same_traces = diff_traces(a / "trace.csv", b / "trace.csv")
-    same_params = diff_params(a / "final.params", b / "final.params")
+    try:
+        same_params = diff_params(a / "final.params", b / "final.params")
+    except DataFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if same_traces and same_params else 1
 
 

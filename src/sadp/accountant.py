@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, InvalidParameterError
+from .errors import BudgetInfeasibleError, SadpError
 
 DEFAULT_ALPHA_GRID = tuple(range(2, 65))
 _ALPHAS = np.array(DEFAULT_ALPHA_GRID, dtype=np.float64)
@@ -27,9 +27,9 @@ _ALPHAS.flags.writeable = False
 
 def _check_q_sigma(q: float, sigma: float) -> None:
     if not 0.0 < q <= 1.0:
-        raise InvalidParameterError(f"sampling rate q={q} must be in (0, 1]")
+        raise SadpError(f"sampling rate q={q} must be in (0, 1]")
     if not sigma > 0.0:
-        raise InvalidParameterError(f"noise multiplier sigma={sigma} must be > 0")
+        raise SadpError(f"noise multiplier sigma={sigma} must be > 0")
 
 
 def _log_binomials(alphas: tuple[int, ...]) -> np.ndarray:
@@ -110,7 +110,7 @@ class AccountantState:
     def __post_init__(self):
         _check_q_sigma(self.q, self.sigma)
         if not 0.0 < self.delta < 1.0:
-            raise InvalidParameterError(f"delta={self.delta} must be in (0, 1)")
+            raise SadpError(f"delta={self.delta} must be in (0, 1)")
 
     @cached_property
     def rdp(self) -> np.ndarray:
@@ -147,7 +147,7 @@ def rdp_per_step(q: float, sigma: float, alpha: int) -> float:
     DEFAULT_ALPHA_GRID (2..64), for q in (0, 1]."""
     _check_q_sigma(q, sigma)
     if alpha not in DEFAULT_ALPHA_GRID:
-        raise InvalidParameterError(f"alpha={alpha} must be an integer order in 2..64")
+        raise SadpError(f"alpha={alpha} must be an integer order in 2..64")
     return float(_rdp_curve(q, sigma)[DEFAULT_ALPHA_GRID.index(alpha)])
 
 
@@ -172,7 +172,7 @@ def spend(state: AccountantState, tau: int, computed: int | None = None) -> Priv
     None, i.e. when every computed release is charged.
     """
     if tau < 0:
-        raise InvalidParameterError(f"tau={tau} must be >= 0")
+        raise SadpError(f"tau={tau} must be >= 0")
     eps = state.epsilons(tau)
     best = int(np.argmin(eps))
     return PrivacySpend(
@@ -192,7 +192,7 @@ def max_steps_within(state: AccountantState, eps_budget: float) -> int:
     agree with spend's own rounding.
     """
     if not math.isfinite(eps_budget):
-        raise InvalidParameterError(f"eps_budget={eps_budget} must be finite")
+        raise SadpError(f"eps_budget={eps_budget} must be finite")
     eps_one = state.epsilon(1)
     if eps_one > eps_budget:
         raise BudgetInfeasibleError(
@@ -202,7 +202,7 @@ def max_steps_within(state: AccountantState, eps_budget: float) -> int:
     rdp = state.rdp
     tail = _tail(state.delta, state.tight_conversion)
     if np.any((rdp == 0.0) & (tail <= eps_budget)):
-        raise InvalidParameterError(
+        raise SadpError(
             f"the per-step cost at q={state.q:.6g}, sigma={state.sigma} is 0, "
             f"so budget {eps_budget} never binds"
         )

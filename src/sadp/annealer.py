@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonFiniteInputError
+from .errors import SadpError
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class AnnealerState:
     @classmethod
     def initial(cls, Q0: float, mu0: int, energy: float = math.inf) -> "AnnealerState":
         if Q0 <= 0:
-            raise InvalidParameterError("Q0 must be > 0")
+            raise SadpError("Q0 must be > 0")
         if mu0 < 1:
-            raise InvalidParameterError("mu0 must be >= 1")
+            raise SadpError("mu0 must be >= 1")
         return cls(t=0, tau=0, mu=0, Q=Q0, Q0=Q0, mu0=mu0, energy=energy)
 
 
@@ -55,9 +55,9 @@ def acceptance_probability(delta_e: float, Q: float) -> float:
     the chain hardens as acceptances accumulate.
     """
     if not math.isfinite(delta_e):
-        raise NonFiniteInputError(f"delta_e={delta_e} is not finite")
+        raise SadpError(f"delta_e={delta_e} is not finite")
     if Q < 0:
-        raise InvalidParameterError("Q must be >= 0")
+        raise SadpError("Q must be >= 0")
     if delta_e <= 0:
         return 1.0
     return min(math.exp(-delta_e * Q), 1.0)

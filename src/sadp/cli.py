@@ -7,9 +7,10 @@ Subcommands:
 
 Every training setting lives in the config; only --seed overrides it.
 
-Exit codes: 0 success; on a `sadp.errors.SadpError` the error's `exit_code`
-(2 invalid config, parameters or a diverged run, 3 budget infeasible, 4
-malformed data file); 4 on any other I/O error.
+Exit codes: 0 success; otherwise the `exit_code` of the error's class in
+`sadp.errors`, the only place a code is written: 2 `SadpError` (invalid
+config or parameters, a diverged run), 3 `BudgetInfeasibleError`, 4
+`DataFileError` (malformed data file), which any other I/O error shares.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ import sys
 from pathlib import Path
 
 from . import accountant, harness, models
-from .errors import BudgetInfeasibleError, DataFileError, InvalidConfigError, SadpError
-
-EXIT_OK = 0
-EXIT_INVALID_CONFIG = InvalidConfigError.exit_code
-EXIT_BUDGET_INFEASIBLE = BudgetInfeasibleError.exit_code
-EXIT_IO_ERROR = DataFileError.exit_code   # also any OSError
+from .errors import DataFileError, SadpError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +63,7 @@ def _cmd_train(args) -> int:
         f"delta={spend.delta}) over tau={records[-1].tau} charged, "
         f"{spend.epsilon_computed:.4f} over all t={len(records)} computed"
     )
-    return EXIT_OK
+    return 0
 
 
 def _cmd_compare(args) -> int:
@@ -75,7 +71,7 @@ def _cmd_compare(args) -> int:
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
-        raise InvalidConfigError(f"--seeds must list integers, got {args.seeds!r}") from None
+        raise SadpError(f"--seeds must list integers, got {args.seeds!r}") from None
     summaries = harness.compare(configs, seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,7 +83,7 @@ def _cmd_compare(args) -> int:
             f"eps {s['mean_final_epsilon']:.4f}, "
             f"eps(t) {s['mean_final_epsilon_computed']:.4f}"
         )
-    return EXIT_OK
+    return 0
 
 
 def _cmd_privacy(args) -> int:
@@ -97,7 +93,7 @@ def _cmd_privacy(args) -> int:
         f"epsilon = {spend.epsilon:.6f} at alpha = {spend.best_alpha} "
         f"(q={args.q}, sigma={args.sigma}, delta={args.delta}, tau={args.tau})"
     )
-    return EXIT_OK
+    return 0
 
 
 def main(argv=None) -> int:
@@ -110,7 +106,7 @@ def main(argv=None) -> int:
         return _cmd_privacy(args)
     except (SadpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code if isinstance(exc, SadpError) else EXIT_IO_ERROR
+        return exc.exit_code if isinstance(exc, SadpError) else DataFileError.exit_code
 
 
 if __name__ == "__main__":

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily: import it with sadp, not in a run's setup
 
-from .errors import BadMagicError, CountMismatchError, DataFileError, DimensionMismatchError
-from .errors import InvalidParameterError, NonFiniteInputError, TruncatedFileError
+from .errors import DataFileError, SadpError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -47,11 +46,9 @@ class LabeledDataset:
 
     def __post_init__(self):
         if len(self.features) != len(self.labels):
-            raise CountMismatchError(
-                f"{len(self.features)} feature rows vs {len(self.labels)} labels"
-            )
+            raise DataFileError(f"{len(self.features)} feature rows vs {len(self.labels)} labels")
         if self.features.dtype.kind not in "iu" and not np.isfinite(self.features).all():
-            raise NonFiniteInputError("features contain non-finite values")
+            raise SadpError("features contain non-finite values")
 
     @property
     def n(self) -> int:
@@ -65,7 +62,7 @@ class LabeledDataset:
 def _read_exact(f, count, path):
     data = f.read(count)
     if len(data) != count:
-        raise TruncatedFileError(f"{path}: expected {count} more bytes")
+        raise DataFileError(f"{path}: expected {count} more bytes")
     return data
 
 
@@ -76,11 +73,11 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
     with open(images_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, images_path))
         if magic != IDX_IMAGES_MAGIC:
-            raise BadMagicError(f"{images_path}: magic {magic:#010x}")
+            raise DataFileError(f"{images_path}: magic {magic:#010x}")
         n, rows, cols = struct.unpack(">III", _read_exact(f, 12, images_path))
         size = os.fstat(f.fileno()).st_size
         if size < 16 + n * rows * cols:
-            raise TruncatedFileError(
+            raise DataFileError(
                 f"{images_path}: expected {16 + n * rows * cols - size} more bytes"
             )
         payload = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
@@ -88,11 +85,11 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
     with open(labels_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, labels_path))
         if magic != IDX_LABELS_MAGIC:
-            raise BadMagicError(f"{labels_path}: magic {magic:#010x}")
+            raise DataFileError(f"{labels_path}: magic {magic:#010x}")
         (n_labels,) = struct.unpack(">I", _read_exact(f, 4, labels_path))
         labels = np.frombuffer(_read_exact(f, n_labels, labels_path), dtype=np.uint8)
     if n != n_labels:
-        raise CountMismatchError(f"{n} images vs {n_labels} labels")
+        raise DataFileError(f"{n} images vs {n_labels} labels")
     return LabeledDataset(features=pixels.reshape(n, rows * cols), labels=labels.astype(np.int64))
 
 
@@ -122,7 +119,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 def save_idx(dataset: LabeledDataset, images_path, labels_path, rows: int, cols: int):
     """Inverse of load_idx, for fixtures and round-trip checks."""
     if rows * cols != dataset.dim:
-        raise DimensionMismatchError("rows * cols must equal the feature dimension")
+        raise SadpError("rows * cols must equal the feature dimension")
     pixels = np.clip(np.round(dataset.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, dataset.n, rows, cols))
@@ -171,7 +168,7 @@ def poisson_sample(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices of 0..n-1, each included independently with
     probability q in (0, 1]."""
     if not 0.0 < q <= 1.0:
-        raise InvalidParameterError(f"inclusion probability q={q} must be in (0, 1]")
+        raise SadpError(f"inclusion probability q={q} must be in (0, 1]")
     return np.flatnonzero(rng.random(n) < q)
 
 
@@ -180,9 +177,9 @@ def synth_linear(
 ) -> LabeledDataset:
     """Targets <weights, x> + N(0, noise_std^2), x uniform on [-1, 1]^d."""
     if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+        raise SadpError("n must be >= 1")
     if noise_std < 0:
-        raise InvalidParameterError("noise_std must be >= 0")
+        raise SadpError("noise_std must be >= 0")
     weights = np.asarray(weights, dtype=np.float64)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n, len(weights)))
@@ -205,7 +202,7 @@ def split(n: int, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarr
     """(train rows, eval rows) of n rows: a seeded shuffle of 0..n-1, the
     first floor(n * eval_fraction) of it carved off for eval."""
     if not 0.0 < eval_fraction < 1.0:
-        raise InvalidParameterError("eval_fraction must be in (0, 1)")
+        raise SadpError("eval_fraction must be in (0, 1)")
     perm = np.random.default_rng(seed).permutation(n)
     n_eval = int(n * eval_fraction)
     return perm[n_eval:], perm[:n_eval]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteInputError
+from .errors import SadpError
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,11 @@ class ClipPolicy:
 
     def __post_init__(self):
         if self.kind not in ("abadi", "auto_s"):
-            raise InvalidParameterError(f"unknown clip kind {self.kind!r}")
+            raise SadpError(f"unknown clip kind {self.kind!r}")
         if self.clip_norm <= 0:
-            raise InvalidParameterError("clip_norm must be > 0")
+            raise SadpError("clip_norm must be > 0")
         if self.kind == "auto_s" and self.gamma <= 0:
-            raise InvalidParameterError("gamma must be > 0 for auto_s")
+            raise SadpError("gamma must be > 0 for auto_s")
 
 
 def _clip_scale(norms, policy: ClipPolicy):
@@ -54,7 +54,7 @@ def clip_batch(grads: np.ndarray, policy: ClipPolicy) -> np.ndarray:
     """Bound every row of an (n, dim) gradient matrix in l2 norm."""
     grads = np.asarray(grads, dtype=np.float64)
     if not np.all(np.isfinite(grads)):
-        raise NonFiniteInputError("gradient batch has non-finite entries")
+        raise SadpError("gradient batch has non-finite entries")
     return grads * _clip_scale(np.linalg.norm(grads, axis=1), policy)[:, None]
 
 
@@ -74,7 +74,7 @@ def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
         sq_norms = sum(h_sq * d_sq for h_sq, d_sq in parts)
         if not np.isfinite(sq_norms).all():
             if not all(np.isfinite(a).all() for layer in factors for a in layer):
-                raise NonFiniteInputError("layer inputs or gradients have non-finite entries")
+                raise SadpError("layer inputs or gradients have non-finite entries")
             # finite factors: an overflowing input norm times an output
             # gradient of exactly zero is a layer gradient of exactly zero
             sq_norms = sum(np.where(d_sq == 0.0, 0.0, h_sq * d_sq) for h_sq, d_sq in parts)
@@ -92,9 +92,9 @@ def noisy_average(
     cardinality. An empty batch passes a zero vector and gets pure noise.
     """
     if noise_std <= 0:
-        raise InvalidParameterError("noise_std must be > 0")
+        raise SadpError("noise_std must be > 0")
     if lot_size < 1:
-        raise InvalidParameterError("lot_size must be >= 1")
+        raise SadpError("lot_size must be >= 1")
     z = rng.normal(0.0, noise_std, size=len(clipped_sum))
     return (clipped_sum + z) / lot_size
 
@@ -104,9 +104,7 @@ def sgd_step(w: np.ndarray, g_tilde: np.ndarray, eta: float) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     g_tilde = np.asarray(g_tilde, dtype=np.float64)
     if w.shape != g_tilde.shape:
-        raise DimensionMismatchError(
-            f"parameter shape {w.shape} != gradient shape {g_tilde.shape}"
-        )
+        raise SadpError(f"parameter shape {w.shape} != gradient shape {g_tilde.shape}")
     if eta <= 0:
-        raise InvalidParameterError("eta must be > 0")
+        raise SadpError("eta must be > 0")
     return w - eta * g_tilde

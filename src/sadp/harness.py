@@ -19,8 +19,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily: import it with sadp, not in a run's setup
 
 from . import accountant, annealer, data, dp_optimizer, models
-from .errors import DataFileError, DimensionMismatchError, InvalidConfigError
-from .errors import NonFiniteParametersError, SadpError
+from .errors import DataFileError, SadpError
 
 EPS_SENTINEL_ITERS = 10_000_000
 
@@ -66,26 +65,28 @@ class TrainConfig:
                 isinstance(v, float) and not math.isfinite(v)
                 for v in (value if isinstance(value, tuple) else (value,))
             ):
-                raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
+                raise SadpError(f"{f.name} must be finite, got {value!r}")
         if self.method not in ("dpsgd", "sa_dpsgd"):
-            raise InvalidConfigError(f"unknown method {self.method!r}")
+            raise SadpError(f"unknown method {self.method!r}")
         if self.eval_set not in ("held_out", "test"):
-            raise InvalidConfigError(f"unknown eval_set {self.eval_set!r}")
+            raise SadpError(f"unknown eval_set {self.eval_set!r}")
         if self.dataset not in ("idx", "csv", "synth_linear", "synth_blobs"):
-            raise InvalidConfigError(f"unknown dataset {self.dataset!r}")
-        for name in ("clip_norm", "eta", "sigma", "q0", "delta"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfigError(f"{name} must be > 0")
-        for name in ("lot_size", "mu0", "max_iters", "synth_n", "blob_classes", "blob_dim"):
+            raise SadpError(f"unknown dataset {self.dataset!r}")
+        if self.eta <= 0:
+            raise SadpError("eta must be > 0")
+        for name in ("lot_size", "max_iters", "synth_n", "blob_classes", "blob_dim"):
             if getattr(self, name) < 1:
-                raise InvalidConfigError(f"{name} must be >= 1")
+                raise SadpError(f"{name} must be >= 1")
         if self.seed < 0 or self.synth_seed < 0:
-            raise InvalidConfigError("seed and synth_seed must be >= 0")
+            raise SadpError("seed and synth_seed must be >= 0")
         if not 0.0 < self.eval_fraction < 1.0:
-            raise InvalidConfigError("eval_fraction must be in (0, 1)")
-        # each raises InvalidParameterError, an InvalidConfigError, on a bad value
+            raise SadpError("eval_fraction must be in (0, 1)")
+        # the rest of the rules belong to the types a run builds: each raises
+        # SadpError on a bad value
         models.ModelSpec(self.model, 1, 1, tuple(self.layer_widths), self.activation)
         dp_optimizer.ClipPolicy(self.clip_kind, self.clip_norm, self.gamma)
+        accountant.AccountantState(1.0, self.sigma, self.delta, self.tight_conversion)
+        annealer.AnnealerState.initial(self.q0, self.mu0)
 
 
 def _parse_value(hint, text: str):
@@ -111,18 +112,18 @@ def parse_config_text(text: str) -> TrainConfig:
         if not line:
             continue
         if "=" not in line:
-            raise InvalidConfigError(f"line {lineno}: expected key = value")
+            raise SadpError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in hints:
-            raise InvalidConfigError(f"line {lineno}: unknown key {key!r}")
+            raise SadpError(f"line {lineno}: unknown key {key!r}")
         try:
             kwargs[key] = _parse_value(hints[key], value)
         except ValueError as exc:
-            raise InvalidConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
+            raise SadpError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     try:
         return TrainConfig(**kwargs)
     except TypeError as exc:
-        raise InvalidConfigError(str(exc)) from exc
+        raise SadpError(str(exc)) from exc
 
 
 def _read_text(path, error: type[SadpError]) -> str:
@@ -134,7 +135,7 @@ def _read_text(path, error: type[SadpError]) -> str:
 
 
 def load_config(path) -> TrainConfig:
-    return parse_config_text(_read_text(path, InvalidConfigError))
+    return parse_config_text(_read_text(path, SadpError))
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def _load_splits(config: TrainConfig):
             else None
         )
         if test is not None and test.dim != dataset.dim:
-            raise DimensionMismatchError(
+            raise SadpError(
                 f"idx_test_images {config.idx_test_images} has {test.dim} features per row, "
                 f"the training images {dataset.dim}"
             )
@@ -198,13 +199,13 @@ def _load_splits(config: TrainConfig):
         train_rows = np.arange(dataset.n)
     if config.eval_set == "test":
         if test is None:
-            raise InvalidConfigError("eval_set=test requires a test dataset")
+            raise SadpError("eval_set=test requires a test dataset")
         eval_set = test
     else:
         keep, held = data.split(len(train_rows), config.eval_fraction, config.seed)
         train_rows, eval_set = train_rows[keep], _gather(dataset, train_rows[held])
     if len(train_rows) == 0 or eval_set.n == 0:
-        raise InvalidConfigError(
+        raise SadpError(
             f"empty split: {len(train_rows)} training and {eval_set.n} evaluation rows"
         )
     return dataset, train_rows, eval_set, test
@@ -218,11 +219,11 @@ def _model_spec(config: TrainConfig, dim: int, train_labels, *others) -> models.
     """The model for dim features and the training labels; every label array
     (None skipped) must index its outputs, [0, training class count)."""
     if dim < 1:
-        raise InvalidConfigError("the dataset has no feature columns")
+        raise SadpError("the dataset has no feature columns")
     regression = not np.issubdtype(train_labels.dtype, np.integer)
     if config.model == models.LINEAR_REGRESSION or regression:
         if config.model != models.LINEAR_REGRESSION:
-            raise InvalidConfigError("regression targets require model=linear_regression")
+            raise SadpError("regression targets require model=linear_regression")
         return models.ModelSpec(models.LINEAR_REGRESSION, dim, 1)
     spec = models.ModelSpec(
         config.model, dim, int(train_labels.max()) + 1,
@@ -230,7 +231,7 @@ def _model_spec(config: TrainConfig, dim: int, train_labels, *others) -> models.
     )
     for labels in (train_labels, *others):
         if labels is not None and np.any((labels < 0) | (labels >= spec.output_dim)):
-            raise InvalidConfigError(
+            raise SadpError(
                 f"class labels must lie in [0, {spec.output_dim}), the training set's range"
             )
     return spec
@@ -245,6 +246,8 @@ def train(config: TrainConfig):
     with method=dpsgd every candidate is applied, so tau = t.
     """
     dataset, train_rows, eval_set, test_set = _load_splits(config)
+    if config.lot_size > len(train_rows):
+        raise SadpError(f"lot_size {config.lot_size} exceeds the {len(train_rows)} training rows")
     spec = _model_spec(
         config, dataset.dim, dataset.labels[train_rows],
         eval_set.labels, None if test_set is None else test_set.labels,
@@ -253,7 +256,7 @@ def train(config: TrainConfig):
     eval_batch = models.to_batch(spec, eval_set.features, eval_set.labels)
     del eval_set, test_set
 
-    q = min(config.lot_size / len(train_rows), 1.0)
+    q = config.lot_size / len(train_rows)
     acct = accountant.AccountantState(q, config.sigma, config.delta, config.tight_conversion)
     max_charged = None
     if config.eps_budget is not None:
@@ -323,7 +326,7 @@ def train(config: TrainConfig):
 
 def _check_energy(energy: float, where: str) -> None:
     if not math.isfinite(energy):
-        raise NonFiniteParametersError(f"the run diverged: non-finite energy {energy} {where}")
+        raise SadpError(f"the run diverged: non-finite energy {energy} {where}")
 
 
 # the one text form of a trace or summary value, by its type; float() writes
@@ -371,12 +374,14 @@ def compare(configs, seeds):
     computed candidates.
     """
     if not configs or not seeds:
-        raise InvalidConfigError("need at least one config and one seed")
+        raise SadpError("need at least one config and one seed")
+    # every per-seed config is checked before the first run
+    runs = [[dataclasses.replace(config, seed=int(seed)) for seed in seeds] for config in configs]
     summaries = []
-    for i, config in enumerate(configs):
+    for i, (config, per_seed) in enumerate(zip(configs, runs)):
         finals = []   # (accuracy, loss, epsilon, epsilon_computed) per seed
-        for seed in seeds:
-            _, spend_, records = train(dataclasses.replace(config, seed=int(seed)))
+        for run in per_seed:
+            _, spend_, records = train(run)
             final = records[-1]
             finals.append((final.eval_accuracy, final.eval_loss, spend_.epsilon,
                            spend_.epsilon_computed))

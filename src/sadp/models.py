@@ -25,8 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import data
-from .errors import DataFileError, DimensionMismatchError, EmptyDatasetError
-from .errors import InvalidParameterError, NonFiniteParametersError
+from .errors import DataFileError, SadpError
 
 CHECKPOINT_MAGIC = b"SADP"
 CHECKPOINT_VERSION = 1
@@ -51,18 +50,18 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.architecture not in (LINEAR_REGRESSION, SOFTMAX_REGRESSION, MLP):
-            raise InvalidParameterError(f"unknown architecture {self.architecture!r}")
+            raise SadpError(f"unknown architecture {self.architecture!r}")
         if self.input_dim < 1 or self.output_dim < 1:
-            raise InvalidParameterError("dims must be >= 1")
+            raise SadpError("dims must be >= 1")
         if self.architecture == LINEAR_REGRESSION and self.output_dim != 1:
-            raise InvalidParameterError("linear regression is scalar-output")
+            raise SadpError("linear regression is scalar-output")
         if self.architecture == MLP:
             if not self.layer_widths or any(w < 1 for w in self.layer_widths):
-                raise InvalidParameterError("mlp needs hidden widths >= 1")
+                raise SadpError("mlp needs hidden widths >= 1")
         elif self.layer_widths:
-            raise InvalidParameterError(f"{self.architecture} takes no layer_widths (mlp only)")
+            raise SadpError(f"{self.architecture} takes no layer_widths (mlp only)")
         if self.activation not in (BOUNDED_TANH, RECTIFIER):
-            raise InvalidParameterError(f"unknown activation {self.activation!r}")
+            raise SadpError(f"unknown activation {self.activation!r}")
 
     @cached_property
     def layer_dims(self) -> tuple[tuple[int, int], ...]:
@@ -89,11 +88,9 @@ def _weights(spec: ModelSpec, w: np.ndarray) -> list[np.ndarray]:
     """Flat vector -> [[W; b], ...]: each layer's slice is W (fan_in, fan_out)
     then b, so reshaped to (fan_in + 1, fan_out) it is [W; b], a view."""
     if len(w) != spec.n_params:
-        raise DimensionMismatchError(
-            f"expected {spec.n_params} parameters, got {len(w)}"
-        )
+        raise SadpError(f"expected {spec.n_params} parameters, got {len(w)}")
     if not np.isfinite(w).all():
-        raise NonFiniteParametersError("parameter vector has non-finite entries")
+        raise SadpError("parameter vector has non-finite entries")
     layers, offset = [], 0
     for fan_in, fan_out in spec.layer_dims:
         size = (fan_in + 1) * fan_out
@@ -125,9 +122,9 @@ def to_batch(spec: ModelSpec, X, y) -> Batch:
     pixel rows are widened to [0, 1] straight into the inputs."""
     X, y = np.asarray(X), np.asarray(y)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise DimensionMismatchError(f"features must be (n, {spec.input_dim}), got {X.shape}")
+        raise SadpError(f"features must be (n, {spec.input_dim}), got {X.shape}")
     if len(y) != len(X):
-        raise DimensionMismatchError("feature/target row counts differ")
+        raise SadpError("feature/target row counts differ")
     inputs = np.empty((spec.input_dim + 1, len(X)))
     data.widen(X, out=inputs[:-1].T)
     inputs[-1] = 1.0
@@ -219,7 +216,7 @@ def per_example_losses_grads(
 def evaluate(spec: ModelSpec, w: np.ndarray, batch: Batch) -> tuple[float, float | None]:
     """(mean loss, accuracy) on a Batch; accuracy is None for regression."""
     if len(batch) == 0:
-        raise EmptyDatasetError("cannot evaluate on an empty dataset")
+        raise SadpError("cannot evaluate on an empty dataset")
     out, _, _ = _forward(spec, w, batch.inputs)
     losses, top = _losses(spec, out, batch)
     loss = float(np.mean(losses))

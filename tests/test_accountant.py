@@ -14,7 +14,7 @@ from sadp.accountant import (
     DEFAULT_ALPHA_GRID,
     AccountantState,
     BudgetInfeasibleError,
-    InvalidParameterError,
+    SadpError,
     max_steps_within,
     rdp_per_step,
     spend,
@@ -110,7 +110,7 @@ class TestRdpPerStep:
          (0.5, 1.0, 1), (0.5, 1.0, 65), (0.5, 1.0, 100), (0.5, 1.0, 2.5)],
     )
     def test_rejects_bad_parameters(self, q, sigma, alpha):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(SadpError, match=r"\b(q|sigma|alpha)=\S+ must be"):
             rdp_per_step(q, sigma, alpha)
 
 
@@ -212,7 +212,7 @@ class TestConversions:
     def test_rejects_bad_delta(self):
         for delta in (0.0, 1.0, -1e-5, math.nan):
             for tight in (False, True):
-                with pytest.raises(InvalidParameterError, match=r"must be in \(0, 1\)$"):
+                with pytest.raises(SadpError, match=r"must be in \(0, 1\)$"):
                     AccountantState(0.5, 1.0, delta, tight)
 
 
@@ -278,13 +278,13 @@ class TestMaxStepsWithin:
 
     @pytest.mark.parametrize("budget", [math.inf, math.nan])
     def test_non_finite_budget_rejected(self, budget):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(SadpError, match=r"^eps_budget=(inf|nan) must be finite$"):
             max_steps_within(self.STATE, budget)
 
     def test_budget_that_never_binds_rejected(self):
         # infinite noise costs nothing per step
         state = AccountantState(q=0.5, sigma=math.inf, delta=1e-5)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(SadpError, match=r"is 0, so budget 1.0 never binds$"):
             max_steps_within(state, 1.0)
 
     @settings(max_examples=300, deadline=None)
@@ -332,12 +332,12 @@ class TestMaxStepsWithin:
 
 class TestAccountantState:
     def test_rejects_invalid_fields(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(SadpError, match=r"^sampling rate q=0.0 must be in \(0, 1\]$"):
             AccountantState(q=0.0, sigma=1.0, delta=1e-5)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(SadpError, match=r"^delta=1.5 must be in \(0, 1\)$"):
             AccountantState(q=0.5, sigma=1.0, delta=1.5)
         # tau is an argument of each query, checked there
-        with pytest.raises(InvalidParameterError, match=r"^tau=-1 must be >= 0$"):
+        with pytest.raises(SadpError, match=r"^tau=-1 must be >= 0$"):
             spend(AccountantState(q=0.5, sigma=1.0, delta=1e-5), -1)
 
     def test_fields_are_what_is_fixed_for_a_run(self):

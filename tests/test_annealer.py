@@ -11,7 +11,7 @@ import pytest
 from sadp.annealer import (
     AnnealerState,
     Decision,
-    NonFiniteInputError,
+    SadpError,
     acceptance_probability,
     advance,
     decide,
@@ -40,9 +40,9 @@ class TestAcceptanceProbability:
         assert probs == sorted(probs, reverse=True)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(SadpError, match=r"^delta_e=nan is not finite$"):
             acceptance_probability(math.nan, 1.0)
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(SadpError, match=r"^delta_e=inf is not finite$"):
             acceptance_probability(math.inf, 1.0)
 
 

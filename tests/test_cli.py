@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sadp import accountant, cli
+from sadp import accountant, cli, errors, harness
 from sadp.data import LabeledDataset, save_idx
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -55,7 +55,7 @@ def test_train_writes_trace_and_checkpoint(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     code = cli.main(["train", "--config", str(cfg), "--out", str(out)])
-    assert code == cli.EXIT_OK
+    assert code == 0
     assert (out / "trace.csv").exists()
     assert (out / "final.params").exists()
     assert "epsilon" in capsys.readouterr().out
@@ -97,7 +97,7 @@ def test_train_seed_override_changes_trace(tmp_path):
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "method = teleport\n")
-    assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_INVALID_CONFIG
+    assert cli.main(["train", "--config", str(cfg)]) == errors.SadpError.exit_code
     assert "error" in capsys.readouterr().err
 
 
@@ -126,6 +126,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (SMALL_CFG, "synth_weights = ,"),
         (MLP_CFG, "model = softmax_regression\nlayer_widths = 128"),
         (SMALL_CFG, "layer_widths = 128"),
+        (SMALL_CFG, "synth_n = 100\nlot_size = 512\nmax_iters = 5"),
     ],
     ids=[
         "clip_kind", "activation", "eval_fraction", "auto_s_gamma", "model", "mlp_widths",
@@ -133,13 +134,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         "zero_synth_n", "zero_blob_classes", "zero_blob_dim", "negative_seed",
         "negative_synth_seed", "empty_held_out_small_n", "empty_held_out_small_fraction",
         "negative_noise_std", "no_synth_weights", "softmax_widths", "linear_widths",
+        "lot_size_over_train_rows",
     ],
 )
 def test_invalid_field_exits_2_without_traceback(tmp_path, capsys, base, override):
     # later keys win, so the override replaces the base value
     cfg = write_cfg(tmp_path, base + override + "\n")
     code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_INVALID_CONFIG
+    assert code == errors.SadpError.exit_code
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
@@ -155,7 +157,7 @@ max_iters = 3
 
 
 def assert_exits_2_without_traceback(capsys, argv) -> str:
-    assert cli.main(argv) == cli.EXIT_INVALID_CONFIG
+    assert cli.main(argv) == errors.SadpError.exit_code
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
@@ -262,7 +264,7 @@ IDX_LABELS_HEADER = bytes.fromhex("00000801") + (30).to_bytes(4, "big")
 def test_malformed_data_file_exits_4(tmp_path, capsys, data_keys):
     cfg = write_cfg(tmp_path, LABELED_CFG + data_keys(tmp_path))
     code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_IO_ERROR
+    assert code == errors.DataFileError.exit_code
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
@@ -356,9 +358,27 @@ def test_compare_bad_seed_list_exits_2(tmp_path, capsys, seeds):
     )
 
 
+@pytest.mark.parametrize(
+    "override, seeds, message",
+    [("delta = 1.5", "0,1", "delta=1.5 must be in (0, 1)"),
+     ("", "0,-1", "seed and synth_seed must be >= 0")],
+    ids=["delta_outside_unit_interval", "negative_seed"],
+)
+def test_compare_rejects_every_bad_input_before_its_first_run(
+    tmp_path, capsys, monkeypatch, override, seeds, message
+):
+    calls = []
+    monkeypatch.setattr(harness, "train", calls.append)
+    good = write_cfg(tmp_path, name="good.cfg")
+    bad = write_cfg(tmp_path, SMALL_CFG + override + "\n", name="bad.cfg")
+    argv = ["compare", "--configs", str(good), str(bad), "--seeds", seeds, "--out", str(tmp_path)]
+    assert assert_exits_2_without_traceback(capsys, argv) == f"error: {message}\n"
+    assert calls == []
+
+
 def test_infeasible_budget_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("eps_budget = none", "eps_budget = 0.01"))
-    assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_BUDGET_INFEASIBLE
+    assert cli.main(["train", "--config", str(cfg)]) == errors.BudgetInfeasibleError.exit_code
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
@@ -372,7 +392,7 @@ def test_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys, command):
 
 
 def test_missing_config_exits_4(tmp_path):
-    assert cli.main(["train", "--config", str(tmp_path / "nope.cfg")]) == cli.EXIT_IO_ERROR
+    assert cli.main(["train", "--config", str(tmp_path / "nope.cfg")]) == errors.DataFileError.exit_code
 
 
 def test_compare_emits_summaries(tmp_path, capsys):
@@ -381,7 +401,7 @@ def test_compare_emits_summaries(tmp_path, capsys):
     code = cli.main(
         ["compare", "--configs", str(cfg), str(cfg), "--seeds", "0,1", "--out", str(out)]
     )
-    assert code == cli.EXIT_OK
+    assert code == 0
     assert (out / "summary.csv").exists()
     assert (out / "summary.json").exists()
     lines = capsys.readouterr().out.splitlines()
@@ -396,7 +416,7 @@ def test_compare_emits_summaries(tmp_path, capsys):
 def test_regression_compare_writes_strict_json_with_null_accuracy(tmp_path, capsys):
     out = tmp_path / "cmp"
     argv = ["compare", "--configs", str(CONFIGS / "synth_linear.cfg"), "--seeds", "0,1"]
-    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main([*argv, "--out", str(out)]) == 0
     assert "acc nan +/- nan," in capsys.readouterr().out
 
     def reject(token):
@@ -411,14 +431,14 @@ def test_privacy_calculator(capsys):
     code = cli.main(
         ["privacy", "--q", "0.00853", "--sigma", "1.23", "--delta", "1e-5", "--tau", "4698"]
     )
-    assert code == cli.EXIT_OK
+    assert code == 0
     out = capsys.readouterr().out
     assert "epsilon = 2.99" in out
 
 
 def test_privacy_tight_conversion(capsys):
     argv = ["privacy", "--q", "0.00853", "--sigma", "1.23", "--delta", "1e-5", "--tau", "4698"]
-    assert cli.main(argv + ["--tight"]) == cli.EXIT_OK
+    assert cli.main(argv + ["--tight"]) == 0
     standard = accountant.AccountantState(q=0.00853, sigma=1.23, delta=1e-5)
     tight = accountant.spend(dataclasses.replace(standard, tight_conversion=True), 4698)
     assert tight.epsilon < accountant.spend(standard, 4698).epsilon
@@ -430,12 +450,12 @@ def test_privacy_rejects_bad_parameters(capsys):
     code = cli.main(
         ["privacy", "--q", "2.0", "--sigma", "1.0", "--delta", "1e-5", "--tau", "1"]
     )
-    assert code == cli.EXIT_INVALID_CONFIG
+    assert code == errors.SadpError.exit_code
 
 
 def test_privacy_rejects_negative_tau(capsys):
     argv = ["privacy", "--q", "0.5", "--sigma", "1.0", "--delta", "1e-5", "--tau", "-1"]
-    assert cli.main(argv) == cli.EXIT_INVALID_CONFIG
+    assert cli.main(argv) == errors.SadpError.exit_code
     assert capsys.readouterr().err == "error: tau=-1 must be >= 0\n"
 
 

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from sadp.data import (
-    BadMagicError,
-    CountMismatchError,
-    InvalidParameterError,
+    DataFileError,
     LabeledDataset,
-    TruncatedFileError,
+    SadpError,
     load_csv,
     load_idx,
     poisson_sample,
@@ -46,22 +44,22 @@ class TestLoadIdx:
         # labels file carrying the image magic
         bad_lbls = tmp_path / "bad_labels"
         bad_lbls.write_bytes(struct.pack(">II", 0x803, 5) + bytes([3, 1, 0, 2, 4]))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(DataFileError, match=r"bad_labels: magic 0x00000803$"):
             load_idx(imgs, bad_lbls)
         # image file carrying the label magic
-        with pytest.raises(BadMagicError):
+        with pytest.raises(DataFileError, match=r": magic 0x00000801$"):
             load_idx(lbls, lbls)
 
     def test_truncated_rejected(self, tmp_path):
         imgs, lbls = write_idx_pair(tmp_path, [[0, 0, 0, 0]], [3])
         imgs.write_bytes(imgs.read_bytes()[:-2])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(DataFileError, match=r": expected 2 more bytes$"):
             load_idx(imgs, lbls)
 
     def test_count_mismatch_rejected(self, tmp_path):
         imgs, _ = write_idx_pair(tmp_path, [[0, 0, 0, 0]], [3])
         _, lbls = write_idx_pair(tmp_path / "..", [[0, 0, 0, 0], [1, 1, 1, 1]], [3, 4])
-        with pytest.raises(CountMismatchError):
+        with pytest.raises(DataFileError, match=r"^1 images vs 2 labels$"):
             load_idx(imgs, lbls)
 
     def test_round_trip(self, tmp_path):
@@ -76,7 +74,7 @@ class TestLoadIdx:
     def test_payload_one_byte_short_rejected(self, tmp_path):
         imgs, lbls = write_idx_pair(tmp_path, [[1, 2, 3, 4], [5, 6, 7, 8]], [3, 1])
         imgs.write_bytes(imgs.read_bytes()[:-1])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(DataFileError, match=r": expected 1 more bytes$"):
             read_idx(imgs, lbls)
 
     def test_trailing_bytes_ignored(self, tmp_path):
@@ -163,7 +161,7 @@ class TestPoissonSample:
 
     @pytest.mark.parametrize("q", [0.0, -0.1, 1.5, float("nan")])
     def test_rejects_rate_outside_unit_interval(self, q):
-        with pytest.raises(InvalidParameterError, match=r"q=.* must be in \(0, 1\]$"):
+        with pytest.raises(SadpError, match=r"q=.* must be in \(0, 1\]$"):
             poisson_sample(10, q, np.random.default_rng(0))
 
 
@@ -262,7 +260,7 @@ class TestLoadCsv:
 
 
 def test_dataset_invariants():
-    with pytest.raises(CountMismatchError):
+    with pytest.raises(DataFileError, match=r"^3 feature rows vs 2 labels$"):
         LabeledDataset(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         LabeledDataset(np.array([[np.inf]]), np.zeros(1))

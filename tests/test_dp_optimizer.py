@@ -9,9 +9,7 @@ from hypothesis.extra import numpy as hnp
 from sadp import annealer, errors, models
 from sadp.dp_optimizer import (
     ClipPolicy,
-    DimensionMismatchError,
-    InvalidParameterError,
-    NonFiniteInputError,
+    SadpError,
     clip_batch,
     clipped_grad_sum,
     noisy_average,
@@ -42,9 +40,9 @@ class TestClip:
         np.testing.assert_array_equal(clip_batch(np.zeros((1, 2)), AUTO_S)[0], np.zeros(2))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(SadpError, match=r"^gradient batch has non-finite entries$"):
             clip_batch(np.array([[1.0, np.nan]]), ABADI)
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(SadpError, match=r"^gradient batch has non-finite entries$"):
             clip_batch(np.array([[1.0, np.inf]]), ABADI)
 
     @given(g=vectors)
@@ -163,10 +161,10 @@ class TestClippedGradSum:
         bad_y = y.copy()
         bad_y[2] = np.inf       # finite inputs, infinite output gradient
         for X_, y_ in ((bad_X, y), (X, bad_y)):
-            with pytest.raises(NonFiniteInputError):
+            with pytest.raises(SadpError, match=r"^layer inputs or gradients have non-finite entries$"):
                 clipped_grad_sum(spec, w, X_, y_, ABADI)
             # the materialized path rejects the same batches
-            with pytest.raises(NonFiniteInputError):
+            with pytest.raises(SadpError, match=r"^gradient batch has non-finite entries$"):
                 clip_batch(per_example_losses_grads(spec, w, X_, y_)[1], ABADI)
 
     def test_rejects_infinite_input_whose_output_gradient_is_zero(self):
@@ -181,7 +179,7 @@ class TestClippedGradSum:
         assert h_in.shape == (spec.input_dim + 1, 4) and delta.shape == (8, 4)
         assert np.isinf(h_in[0, 1]) and not delta[:, 1].any()
         for policy in (ABADI, AUTO_S):
-            with pytest.raises(NonFiniteInputError):
+            with pytest.raises(SadpError, match=r"^layer inputs or gradients have non-finite entries$"):
                 clipped_grad_sum(spec, w, X, y, policy)
 
     def test_finite_input_whose_norm_overflows_contributes_zero(self):
@@ -228,8 +226,8 @@ class TestClippedGradSum:
 
 
 def test_error_types_are_shared_across_modules():
-    assert NonFiniteInputError is errors.NonFiniteInputError is annealer.NonFiniteInputError
-    assert DimensionMismatchError is errors.DimensionMismatchError is models.DimensionMismatchError
+    assert SadpError is errors.SadpError is annealer.SadpError is models.SadpError
+    assert errors.DataFileError is models.DataFileError
 
 
 class TestNoisyAverage:
@@ -259,7 +257,7 @@ class TestNoisyAverage:
          (1.0, 0, "lot_size must be >= 1")],
     )
     def test_rejects_bad_noise_or_lot_size(self, noise_std, lot_size, message):
-        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        with pytest.raises(SadpError, match=f"^{message}$"):
             noisy_average(np.zeros(3), noise_std, lot_size, np.random.default_rng(0))
 
     def test_replacing_one_gradient_moves_sum_at_most_2c(self):
@@ -288,7 +286,7 @@ class TestSgdStep:
         )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(SadpError, match=r"^parameter shape \(3,\) != gradient shape \(2,\)$"):
             sgd_step(np.zeros(3), np.zeros(2), 0.1)
 
     def test_reproduces_plain_gradient_descent_on_quadratic(self):

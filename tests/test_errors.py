@@ -1,5 +1,6 @@
-"""The error hierarchy: every sadp error is a ValueError with its exit code,
-`cli.main` maps each to that code, and sadp code raises no builtin exception."""
+"""The error hierarchy: one class per exit code, each a ValueError, which
+`cli.main` maps to that code; sadp code raises no builtin exception and
+defines no exception class outside `sadp.errors`."""
 
 import ast
 import builtins
@@ -14,17 +15,8 @@ SRC = pathlib.Path(__file__).parent.parent / "src" / "sadp"
 # the exit codes the README documents, per class
 DOCUMENTED_EXIT_CODES = {
     "SadpError": 2,
-    "NonFiniteInputError": 2,
-    "DimensionMismatchError": 2,
-    "NonFiniteParametersError": 2,
-    "EmptyDatasetError": 2,
-    "InvalidConfigError": 2,
-    "InvalidParameterError": 2,
     "BudgetInfeasibleError": 3,
     "DataFileError": 4,
-    "BadMagicError": 4,
-    "TruncatedFileError": 4,
-    "CountMismatchError": 4,
 }
 
 ERROR_CLASSES = [
@@ -35,7 +27,6 @@ ERROR_CLASSES = [
 def test_every_error_class_has_a_documented_code():
     assert sorted(c.__name__ for c in ERROR_CLASSES) == sorted(DOCUMENTED_EXIT_CODES)
     assert all(issubclass(c, errors.SadpError) and issubclass(c, ValueError) for c in ERROR_CLASSES)
-    assert issubclass(errors.InvalidParameterError, errors.InvalidConfigError)
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
@@ -91,3 +82,36 @@ def test_sadp_raises_only_sadp_errors(path):
     # and read_trace's callers see as the parse failure of one value
     allowed = [("_parse_value", "ValueError")] if path.name == "harness.py" else []
     assert builtin_raises(path.read_text()) == allowed
+
+
+EXCEPTION_NAMES = {
+    name for name, c in vars(builtins).items() if isinstance(c, type) and issubclass(c, BaseException)
+} | {c.__name__ for c in ERROR_CLASSES}
+
+
+def exception_classes(source: str) -> list[str]:
+    """Names of the classes a module defines on a builtin or sadp exception
+    base, at any depth, by name or as an attribute (`errors.SadpError`)."""
+    return [
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(b, "id", getattr(b, "attr", None)) in EXCEPTION_NAMES for b in node.bases)
+    ]
+
+
+def test_guard_finds_exception_classes():
+    source = (
+        "class A(ValueError): pass\n"
+        "class B(errors.DataFileError): pass\n"
+        "def f():\n    class C(SadpError, object): pass\n"
+        "class D: pass\n"
+        "class E(np.ndarray): pass\n"
+    )
+    assert exception_classes(source) == ["A", "B", "C"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_errors_defines_exception_classes(path):
+    # one class per exit code, all in sadp.errors: a new failure gets a message
+    expected = sorted(DOCUMENTED_EXIT_CODES) if path.name == "errors.py" else []
+    assert sorted(exception_classes(path.read_text())) == expected

@@ -16,8 +16,8 @@ from sadp import accountant, cli, data, harness, models
 from sadp.errors import DataFileError
 from sadp.harness import (
     TRACE_COLUMNS,
-    InvalidConfigError,
     IterationRecord,
+    SadpError,
     TrainConfig,
     compare,
     emit_trace,
@@ -48,6 +48,20 @@ LINREG_CFG = TrainConfig(
 )
 
 
+# each config text and the message that rejects it when the config is read
+BAD_CONFIGS = {
+    "bogus_key = 1": r"^line 1: unknown key 'bogus_key'$",
+    "eta": r"^line 1: expected key = value$",
+    "eta = fast": r"^line 1: bad value for eta: 'fast'$",
+    "method = dp_magic": r"^unknown method 'dp_magic'$",
+    "sigma = -1": r"^noise multiplier sigma=-1.0 must be > 0$",
+    "eval_set = validation": r"^unknown eval_set 'validation'$",
+    "clip_kind = foo": r"^unknown clip kind 'foo'$",
+    "activation = relu": r"^unknown activation 'relu'$",
+    "delta = 1.5": r"^delta=1.5 must be in \(0, 1\)$",
+}
+
+
 class TestConfigParsing:
     def test_mnist_preset_matches_published_hyperparameters(self):
         cfg = load_config(CONFIGS / "mnist.cfg")
@@ -69,21 +83,9 @@ class TestConfigParsing:
         assert cfg.eta == 1.5
         assert cfg.mu0 == 5
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "bogus_key = 1",
-            "eta",
-            "eta = fast",
-            "method = dp_magic",
-            "sigma = -1",
-            "eval_set = validation",
-            "clip_kind = foo",
-            "activation = relu",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(BAD_CONFIGS))
     def test_bad_configs_rejected(self, text):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(SadpError, match=BAD_CONFIGS[text]):
             parse_config_text(text)
 
     def test_readme_config_table_lists_exactly_the_config_keys(self):
@@ -97,7 +99,7 @@ class TestConfigParsing:
 
     def test_clamp_tau_floor_is_an_unknown_key(self):
         # Q = Q0 * tau has no opt-out: the old floor on tau is not a key
-        with pytest.raises(InvalidConfigError, match=r"^line 1: unknown key 'clamp_tau_floor'$"):
+        with pytest.raises(SadpError, match=r"^line 1: unknown key 'clamp_tau_floor'$"):
             parse_config_text("clamp_tau_floor = true")
 
 
@@ -189,7 +191,7 @@ class TestTrain:
             (False, False, 0.0, math.inf)
         ] * 10
         assert records[-1].tau == 0 and math.isfinite(records[-1].eval_loss)
-        with pytest.raises(harness.NonFiniteParametersError, match="candidate 11"):
+        with pytest.raises(SadpError, match=r"^the run diverged: non-finite energy .* candidate 11$"):
             train(dataclasses.replace(cfg, max_iters=11))
 
     def test_budget_below_floor_raises(self):
@@ -202,6 +204,16 @@ class TestTrain:
         cfg = dataclasses.replace(LINREG_CFG, eps_budget=2.0, lot_size=200)
         with pytest.raises(accountant.BudgetInfeasibleError):
             train(cfg)
+
+    def test_lot_size_over_training_rows_rejected(self):
+        # 100 rows less the 10 % held out leave 90 training rows
+        cfg = dataclasses.replace(LINREG_CFG, synth_n=100, lot_size=512, max_iters=5)
+        with pytest.raises(SadpError, match=r"^lot_size 512 exceeds the 90 training rows$"):
+            train(cfg)
+        # a lot of every training row is the largest: q = 1
+        _, spend_, records = train(dataclasses.replace(cfg, lot_size=90))
+        full_batch = accountant.AccountantState(1.0, cfg.sigma, cfg.delta)
+        assert len(records) == 5 and spend_.epsilon == full_batch.epsilon(records[-1].tau)
 
 
 class TestTraces:
@@ -611,6 +623,18 @@ def test_trace_diff_script_checks_decision_columns(tmp_path):
     flipped = diff("run_flipped", "run_a")
     assert flipped.returncode == 1 and "final.params: byte-equal" in flipped.stdout
     assert diff("run_a", "a.csv").returncode == 2
+    # final.params is read as a checkpoint: a bad magic or a cut file exits 2 naming it
+    good = (tmp_path / "run_a" / "final.params").read_bytes()
+    for run, params, message in [
+        ("run_junk", b"JUNK" + good[4:], "not a parameter checkpoint"),
+        ("run_cut", good[:36], "truncated checkpoint"),
+    ]:
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "trace.csv").write_bytes((tmp_path / "a.csv").read_bytes())
+        (tmp_path / run / "final.params").write_bytes(params)
+        bad = diff(run, "run_a")
+        assert bad.returncode == 2
+        assert bad.stderr == f"error: {tmp_path / run / 'final.params'}: {message}\n"
 
 
 def test_train_and_compare_demo_prints_both_methods():

@@ -10,10 +10,8 @@ from sadp.models import (
     BOUNDED_TANH,
     RECTIFIER,
     DataFileError,
-    DimensionMismatchError,
-    EmptyDatasetError,
     ModelSpec,
-    NonFiniteParametersError,
+    SadpError,
     evaluate,
     init_params,
     load_checkpoint,
@@ -113,13 +111,13 @@ class TestPerExampleGrads:
 
     def test_dimension_and_finiteness_errors(self):
         w = np.zeros(LINREG.n_params)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(SadpError, match=r"^features must be \(n, 3\), got \(2, 5\)$"):
             per_example_losses_grads(LINREG, w, np.zeros((2, 5)), np.zeros(2))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(SadpError, match=r"^expected 4 parameters, got 99$"):
             per_example_losses_grads(LINREG, np.zeros(99), np.zeros((2, 3)), np.zeros(2))
         bad = w.copy()
         bad[0] = np.nan
-        with pytest.raises(NonFiniteParametersError):
+        with pytest.raises(SadpError, match=r"^parameter vector has non-finite entries$"):
             per_example_losses_grads(LINREG, bad, np.zeros((2, 3)), np.zeros(2))
 
 
@@ -214,7 +212,7 @@ class TestEvaluate:
         assert results[1] == results[0] and results[2] == results[0]
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(SadpError, match=r"^cannot evaluate on an empty dataset$"):
             evaluate(LINREG, np.zeros(LINREG.n_params), to_batch(LINREG, np.zeros((0, 3)), np.zeros(0)))
 
 
