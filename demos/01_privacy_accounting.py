@@ -11,7 +11,6 @@ from sadp.accountant import (
     DEFAULT_ALPHA_GRID,
     AccountantState,
     max_steps_within,
-    rdp_per_step,
     spend,
 )
 
@@ -19,11 +18,11 @@ from sadp.accountant import (
 # training set of 60,000, noise multiplier 1.23, delta = 1e-5.
 q, sigma, delta = 512 / 60000, 1.23, 1e-5
 
+state = AccountantState(q=q, sigma=sigma, delta=delta)
 print("Per-step Renyi divergence at a few orders alpha:")
 for alpha in (2, 8, 16, 32, 64):
-    print(f"  alpha = {alpha:2d}: eps_RDP = {rdp_per_step(q, sigma, alpha):.6e}")
+    print(f"  alpha = {alpha:2d}: eps_RDP = {state.rdp[alpha - 2]:.6e}")
 
-state = AccountantState(q=q, sigma=sigma, delta=delta)
 print("\nPrivacy spend grows with the number of charged iterations tau:")
 for tau in (100, 1000, 4698, 4699):
     result = spend(state, tau)
@@ -38,6 +37,7 @@ print(f"\nLargest tau that stays within epsilon <= {budget}: {tau_star}")
 
 # Sanity check against the analytic q = 1 limit: eps_RDP -> alpha / (2 sigma^2).
 print("\nFull-batch (q = 1) limit check:")
+full_batch = AccountantState(q=1.0, sigma=sigma, delta=delta)
 for alpha in (DEFAULT_ALPHA_GRID[0], DEFAULT_ALPHA_GRID[-1]):
     exact = alpha / (2 * sigma**2)
-    print(f"  alpha = {alpha:2d}: {rdp_per_step(1.0, sigma, alpha):.12f} vs {exact:.12f}")
+    print(f"  alpha = {alpha:2d}: {full_batch.rdp[alpha - 2]:.12f} vs {exact:.12f}")

@@ -9,15 +9,18 @@ relative difference is printed. Given two run directories (each the
 then their final.params: byte-equal, or else the largest relative
 difference of the parameters. Each final.params is read by
 `sadp.models.load_checkpoint`, from this checkout's src/. Exits 1 if a
-decision column differs, the headers differ, the row counts differ or the
-parameter counts differ; 2 on a usage error, or with one line naming the
-file when a final.params is not a valid checkpoint; 0 otherwise: a change
-that only moves the last digits of a loss passes and shows by how much.
+decision column differs, the row counts differ or the parameter counts
+differ; 2 on a usage error, or with one `error:` line naming the file (and
+line) when a file cannot be read, a trace is not UTF-8, lacks the header of
+`sadp.harness.TRACE_COLUMNS`, has a row without 11 fields, an integer
+column that is not an integer, a boolean column that is not true/false or a
+float column that is not a number, or a final.params is not a valid
+checkpoint; 0 otherwise: a change that only moves the last digits of a loss
+passes and shows by how much.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from pathlib import Path
@@ -25,15 +28,38 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sadp import models
 from sadp.errors import DataFileError
+from sadp.harness import TRACE_COLUMNS
 
 IDENTICAL = ("t", "tau", "mu", "accepted", "forced", "eval_accuracy", "epsilon_so_far")
+INTS = ("t", "tau", "mu")
+BOOLS = ("accepted", "forced")
 FLOATS = ("Q", "delta_E", "P", "eval_loss", "eval_accuracy", "epsilon_so_far")
 
 
-def _read(path):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    return rows[0], rows[1:]
+def _read(path) -> list[list[str]]:
+    """The rows of a trace under its header; a malformed file raises
+    DataFileError naming it, and the line for a malformed row."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if not lines or lines[0].split(",") != TRACE_COLUMNS:
+        raise DataFileError(f"{path}: unexpected trace header")
+    rows = [line.split(",") for line in lines[1:]]
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            if len(row) != len(TRACE_COLUMNS):
+                raise ValueError(f"{len(row)} fields, expected {len(TRACE_COLUMNS)}")
+            for name in INTS:
+                int(row[TRACE_COLUMNS.index(name)])
+            for name in BOOLS:
+                if (text := row[TRACE_COLUMNS.index(name)]) not in ("true", "false"):
+                    raise ValueError(f"not a boolean: {text!r}")
+            for name in FLOATS:
+                float(row[TRACE_COLUMNS.index(name)])
+        except ValueError as exc:
+            raise DataFileError(f"{path}:{lineno}: {exc}") from None
+    return rows
 
 
 def _rel_diff(a, b) -> float:
@@ -46,17 +72,15 @@ def _rel_diff(a, b) -> float:
 
 
 def diff_traces(path_a, path_b) -> bool:
-    """Prints the comparison; True if the traces agree in every decision."""
-    (head_a, rows_a), (head_b, rows_b) = _read(path_a), _read(path_b)
-    if head_a != head_b:
-        print(f"headers differ: {head_a} vs {head_b}")
-        return False
+    """Prints the comparison; True if the traces agree in every decision.
+    A malformed trace raises DataFileError naming it."""
+    rows_a, rows_b = _read(path_a), _read(path_b)
     if len(rows_a) != len(rows_b):
         print(f"row counts differ: {len(rows_a)} vs {len(rows_b)}")
         return False
     failed = False
     for name in IDENTICAL:
-        j = head_a.index(name)
+        j = TRACE_COLUMNS.index(name)
         bad = [i for i, (ra, rb) in enumerate(zip(rows_a, rows_b)) if ra[j] != rb[j]]
         if bad:
             failed = True
@@ -64,7 +88,7 @@ def diff_traces(path_a, path_b) -> bool:
             print(f"{name}: {len(bad)} rows differ, first at t={rows_a[i][0]}: "
                   f"{rows_a[i][j]} vs {rows_b[i][j]}")
     for name in FLOATS:
-        j = head_a.index(name)
+        j = TRACE_COLUMNS.index(name)
         worst = max((_rel_diff(ra[j], rb[j]) for ra, rb in zip(rows_a, rows_b)), default=0.0)
         print(f"{name}: max relative difference {worst:.3g}")
     print(f"{len(rows_a)} rows, decision columns {'DIFFER' if failed else 'identical'}")
@@ -92,12 +116,12 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     a, b = map(Path, args)
-    if not a.is_dir():
-        return 0 if diff_traces(a, b) else 1
-    same_traces = diff_traces(a / "trace.csv", b / "trace.csv")
     try:
+        if not a.is_dir():
+            return 0 if diff_traces(a, b) else 1
+        same_traces = diff_traces(a / "trace.csv", b / "trace.csv")
         same_params = diff_params(a / "final.params", b / "final.params")
-    except DataFileError as exc:
+    except (DataFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if same_traces and same_params else 1

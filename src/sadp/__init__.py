@@ -4,7 +4,6 @@ from .accountant import (
     AccountantState,
     PrivacySpend,
     max_steps_within,
-    rdp_per_step,
     spend,
 )
 from .annealer import (

@@ -25,13 +25,6 @@ _ALPHAS = np.array(DEFAULT_ALPHA_GRID, dtype=np.float64)
 _ALPHAS.flags.writeable = False
 
 
-def _check_q_sigma(q: float, sigma: float) -> None:
-    if not 0.0 < q <= 1.0:
-        raise SadpError(f"sampling rate q={q} must be in (0, 1]")
-    if not sigma > 0.0:
-        raise SadpError(f"noise multiplier sigma={sigma} must be > 0")
-
-
 def _log_binomials(alphas: tuple[int, ...]) -> np.ndarray:
     """log C(alpha, k) for k = 2..max(alphas) down the rows, one column per
     order, from exact integers; -inf where k > alpha."""
@@ -108,7 +101,10 @@ class AccountantState:
     tight_conversion: bool = False
 
     def __post_init__(self):
-        _check_q_sigma(self.q, self.sigma)
+        if not 0.0 < self.q <= 1.0:
+            raise SadpError(f"sampling rate q={self.q} must be in (0, 1]")
+        if not self.sigma > 0.0:
+            raise SadpError(f"noise multiplier sigma={self.sigma} must be > 0")
         if not 0.0 < self.delta < 1.0:
             raise SadpError(f"delta={self.delta} must be in (0, 1)")
 
@@ -140,15 +136,6 @@ class PrivacySpend:
     delta: float
     best_alpha: int
     epsilon_computed: float
-
-
-def rdp_per_step(q: float, sigma: float, alpha: int) -> float:
-    """Per-step RDP epsilon of the subsampled Gaussian at an order alpha of
-    DEFAULT_ALPHA_GRID (2..64), for q in (0, 1]."""
-    _check_q_sigma(q, sigma)
-    if alpha not in DEFAULT_ALPHA_GRID:
-        raise SadpError(f"alpha={alpha} must be an integer order in 2..64")
-    return float(_rdp_curve(q, sigma)[DEFAULT_ALPHA_GRID.index(alpha)])
 
 
 def _tail(delta: float, tight: bool) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily: import it with sadp, not in a run's setup
 
 from . import accountant, annealer, data, dp_optimizer, models
-from .errors import DataFileError, SadpError
+from .errors import SadpError
 
 EPS_SENTINEL_ITERS = 10_000_000
 
@@ -126,16 +126,13 @@ def parse_config_text(text: str) -> TrainConfig:
         raise SadpError(str(exc)) from exc
 
 
-def _read_text(path, error: type[SadpError]) -> str:
-    """A UTF-8 text file's contents; any other bytes raise `error` naming the file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
 def load_config(path) -> TrainConfig:
-    return parse_config_text(_read_text(path, SadpError))
+    """The config in a UTF-8 text file; any other bytes raise SadpError naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SadpError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_config_text(text)
 
 
 @dataclass(frozen=True)
@@ -342,28 +339,6 @@ def emit_trace(records, path) -> None:
     for r in records:
         lines.append(",".join(f(v) for f, v in zip(_TRACE_FORMATTERS, vars(r).values())))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_trace(path) -> list[IterationRecord]:
-    """Inverse of emit_trace; each value is parsed by its field's type, as
-    config values are. A file that is not UTF-8 text or lacks the header
-    raises DataFileError naming the file; a row of another width or a
-    malformed value, naming the file and line."""
-    lines = _read_text(path, DataFileError).splitlines()
-    if not lines or lines[0].split(",") != TRACE_COLUMNS:
-        raise DataFileError(f"{path}: unexpected trace header")
-    hints = typing.get_type_hints(IterationRecord)
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        try:
-            if len(fields) != len(TRACE_COLUMNS):
-                raise DataFileError(f"{len(fields)} fields, expected {len(TRACE_COLUMNS)}")
-            values = {c: _parse_value(hints[c], v) for c, v in zip(TRACE_COLUMNS, fields)}
-        except ValueError as exc:
-            raise DataFileError(f"{path}:{lineno}: {exc}") from None
-        records.append(IterationRecord(**values))
-    return records
 
 
 def compare(configs, seeds):

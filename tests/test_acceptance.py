@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from sadp import data
-from sadp.accountant import AccountantState, max_steps_within, rdp_per_step, spend
+from sadp.accountant import AccountantState, max_steps_within, spend
 from sadp.annealer import AnnealerState, advance, decide
 from sadp.dp_optimizer import ClipPolicy, clip_batch, clipped_grad_sum
 from sadp.harness import TrainConfig, emit_trace, train
@@ -47,8 +47,9 @@ def test_01_accountant_analytic_limit():
     start = time.perf_counter()
     worst = 0.0
     for sigma in (0.5, 1.0, 2.0):
+        rdp = AccountantState(1.0, sigma, 1e-5).rdp
         for alpha in range(2, 65):
-            err = abs(rdp_per_step(1.0, sigma, alpha) - alpha / (2 * sigma**2))
+            err = abs(rdp[alpha - 2] - alpha / (2 * sigma**2))
             worst = max(worst, err)
     assert worst <= 1e-9
     report(1, time.perf_counter() - start, 1.0, f"max |error| = {worst:.2e}")
@@ -65,7 +66,7 @@ def test_02_accountant_oracle_equivalence(golden_rdp):
         for sigma in sigmas:
             for alpha in alphas:
                 expected = golden_rdp[(q, sigma, alpha)]
-                got = rdp_per_step(q, sigma, alpha)
+                got = AccountantState(q, sigma, 1e-5).rdp[alpha - 2]
                 rel = abs(got - expected) / max(abs(expected), 1e-300)
                 worst = max(worst, rel)
                 checked += 1

@@ -59,7 +59,7 @@ class TestLoadIdx:
     def test_count_mismatch_rejected(self, tmp_path):
         imgs, _ = write_idx_pair(tmp_path, [[0, 0, 0, 0]], [3])
         _, lbls = write_idx_pair(tmp_path / "..", [[0, 0, 0, 0], [1, 1, 1, 1]], [3, 4])
-        with pytest.raises(DataFileError, match=r"^1 images vs 2 labels$"):
+        with pytest.raises(DataFileError, match=r"^1 feature rows vs 2 labels$"):
             load_idx(imgs, lbls)
 
     def test_round_trip(self, tmp_path):

@@ -1,6 +1,8 @@
 """The error hierarchy: one class per exit code, each a ValueError, which
 `cli.main` maps to that code; sadp code raises no builtin exception and
-defines no exception class outside `sadp.errors`."""
+defines no exception class outside `sadp.errors`. And a guard against code
+only tests reach: every public function or class of sadp has a caller
+outside `tests/`."""
 
 import ast
 import builtins
@@ -79,7 +81,7 @@ def test_guard_finds_builtin_raises():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_sadp_raises_only_sadp_errors(path):
     # the one exception: _parse_value's ValueError, which parse_config_text
-    # and read_trace's callers see as the parse failure of one value
+    # sees as the parse failure of one config value
     allowed = [("_parse_value", "ValueError")] if path.name == "harness.py" else []
     assert builtin_raises(path.read_text()) == allowed
 
@@ -115,3 +117,56 @@ def test_only_errors_defines_exception_classes(path):
     # one class per exit code, all in sadp.errors: a new failure gets a message
     expected = sorted(DOCUMENTED_EXIT_CODES) if path.name == "errors.py" else []
     assert sorted(exception_classes(path.read_text())) == expected
+
+
+REPO = SRC.parent.parent
+CALLER_DIRS = ("src", "demos", "scripts", "perfbench")
+# the reference oracles tests compare clipped_grad_sum against; perfbench
+# names them only as strings, in its map of what to time
+ORACLES = {"per_example_losses_grads", "clip_batch"}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Names of the public functions and classes a module defines at its top level."""
+    return [
+        node.name for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module's code reads, by name, as an attribute or in an
+    import; a definition's own name and the text of strings do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_guard_finds_public_definitions_and_references():
+    source = (
+        "import numpy.random\n"
+        "from .a import b as c\n"
+        "def f(x: Spec):\n    def inner(): pass\n    return g(x).h\n"
+        "class K: pass\n"
+        "def _private(): return 'quoted'\n"
+    )
+    assert public_definitions(source) == ["f", "K"]
+    assert referenced_names(source) == {"numpy.random", "b", "Spec", "g", "x", "h"}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # sadp/__init__.py only re-exports: an export is not a caller
+    used = set().union(*(
+        referenced_names(path.read_text())
+        for d in CALLER_DIRS for path in sorted((REPO / d).rglob("*.py"))
+        if path != SRC / "__init__.py"
+    ))
+    public = {name for path in SRC.glob("*.py") for name in public_definitions(path.read_text())}
+    assert sorted(public - used) == sorted(ORACLES)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from sadp import accountant, cli, data, harness, models
-from sadp.errors import DataFileError
 from sadp.harness import (
     TRACE_COLUMNS,
     IterationRecord,
@@ -23,7 +22,6 @@ from sadp.harness import (
     emit_trace,
     load_config,
     parse_config_text,
-    read_trace,
     train,
 )
 
@@ -216,59 +214,37 @@ class TestTrain:
         assert len(records) == 5 and spend_.epsilon == full_batch.epsilon(records[-1].tau)
 
 
+def assert_trace_holds(path, records):
+    """trace.csv holds the header, then one row per record whose every field
+    parses back to the record's value: repr round-trips every float."""
+    header, *rows = pathlib.Path(path).read_text().splitlines()
+    assert header.split(",") == TRACE_COLUMNS and len(rows) == len(records)
+    for row, record in zip(rows, records):
+        fields = row.split(",")
+        assert len(fields) == len(TRACE_COLUMNS)
+        for text, f in zip(fields, dataclasses.fields(IterationRecord)):
+            want = getattr(record, f.name)
+            if f.type == "bool":
+                assert text == ("true" if want else "false"), f.name
+            elif f.type == "int":
+                assert int(text) == want, f.name
+            else:
+                got = float(text)
+                assert got == want or (math.isnan(got) and math.isnan(want)), f.name
+
+
+def last_row(path) -> dict[str, str]:
+    """The last row of a trace file, as text by column."""
+    return dict(zip(TRACE_COLUMNS, pathlib.Path(path).read_text().splitlines()[-1].split(",")))
+
+
 class TestTraces:
     def test_trace_round_trip(self, tmp_path):
         cfg = dataclasses.replace(LINREG_CFG, max_iters=20)
         _, _, records = train(cfg)
         path = tmp_path / "trace.csv"
         emit_trace(records, path)
-        back = read_trace(path)
-        assert len(back) == len(records)
-        for a, b in zip(back, records):
-            for col in TRACE_COLUMNS:
-                va, vb = getattr(a, col), getattr(b, col)
-                assert va == vb or (
-                    isinstance(va, float) and math.isnan(va) and math.isnan(vb)
-                )
-
-    def test_malformed_boolean_rejected(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text(
-            ",".join(TRACE_COLUMNS) + "\n1,1,0,10.0,-0.5,1.0,yes,false,0.5,nan,0.1\n"
-        )
-        with pytest.raises(ValueError):
-            read_trace(path)
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("1,1,0,10.0", "4 fields, expected 11"),
-            ("1,1,0,10.0,-0.5,1.0,true,false,0.5,nan,0.1,7", "12 fields, expected 11"),
-            ("1,1,0,10.0,abc,1.0,true,false,0.5,nan,0.1", "could not convert string to float: 'abc'"),
-            ("1,1,0,10.0,-0.5,1.0,yes,false,0.5,nan,0.1", "not a boolean: 'yes'"),
-        ],
-        ids=["4_fields", "12_fields", "bad_float", "bad_boolean"],
-    )
-    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
-        path = tmp_path / "trace.csv"
-        good = "1,1,0,10.0,-0.5,1.0,true,false,0.5,nan,0.1"
-        path.write_text("\n".join([",".join(TRACE_COLUMNS), good, row]) + "\n")
-        with pytest.raises(DataFileError) as info:
-            read_trace(path)
-        assert str(info.value) == f"{path}:3: {message}"
-
-    @pytest.mark.parametrize("text", ["", "t,tau\n1,1\n"], ids=["empty", "foreign_header"])
-    def test_file_without_trace_header_is_a_data_file_error(self, tmp_path, text):
-        path = tmp_path / "trace.csv"
-        path.write_text(text)
-        with pytest.raises(DataFileError, match="trace header"):
-            read_trace(path)
-
-    def test_non_utf8_trace_is_a_data_file_error(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_bytes(",".join(TRACE_COLUMNS).encode() + b"\n\x80\x81,\xff\n")
-        with pytest.raises(DataFileError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
-            read_trace(path)
+        assert_trace_holds(path, records)
 
     def test_numpy_scalars_written_as_plain_numbers(self, tmp_path):
         plain = IterationRecord(
@@ -285,10 +261,7 @@ class TestTraces:
         emit_trace([plain], tmp_path / "plain.csv")
         emit_trace([numpy_scalars], tmp_path / "numpy.csv")
         assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
-        (back,) = read_trace(tmp_path / "numpy.csv")
-        for col in TRACE_COLUMNS:
-            va, vb = getattr(back, col), getattr(plain, col)
-            assert va == vb or (math.isnan(va) and math.isnan(vb))
+        assert_trace_holds(tmp_path / "numpy.csv", [plain])
 
     def test_header_only_for_empty_run(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -535,8 +508,8 @@ class TestByteResidentExactness:
             got = (tmp_path / "bytes" / name).read_bytes()
             assert got == (tmp_path / "floats" / name).read_bytes()
         # the run screened candidates: some accepted, some rejected
-        records = read_trace(tmp_path / "bytes" / "trace.csv")
-        assert 0 < records[-1].tau < records[-1].t == 80
+        last = last_row(tmp_path / "bytes" / "trace.csv")
+        assert 0 < int(last["tau"]) < int(last["t"]) == 80
 
 
 class TestMappedIndexExactness:
@@ -581,12 +554,18 @@ class TestMappedIndexExactness:
         for name in ("trace.csv", "final.params"):
             got = (tmp_path / "mapped" / name).read_bytes()
             assert got == (tmp_path / "copied" / name).read_bytes()
-        records = read_trace(tmp_path / "mapped" / "trace.csv")
-        assert 0 < records[-1].tau < records[-1].t == 80
+        last = last_row(tmp_path / "mapped" / "trace.csv")
+        assert 0 < int(last["tau"]) < int(last["t"]) == 80
+
+
+def run_trace_diff(a, b):
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "trace_diff.py"
+    return subprocess.run(
+        [sys.executable, str(script), str(a), str(b)], capture_output=True, text=True, timeout=60
+    )
 
 
 def test_trace_diff_script_checks_decision_columns(tmp_path):
-    root = pathlib.Path(__file__).parent.parent
     _, _, records = train(dataclasses.replace(LINREG_CFG, max_iters=20))
     emit_trace(records, tmp_path / "a.csv")
     emit_trace([dataclasses.replace(r, eval_loss=r.eval_loss * (1 + 4e-16)) for r in records], tmp_path / "b.csv")
@@ -594,10 +573,7 @@ def test_trace_diff_script_checks_decision_columns(tmp_path):
     emit_trace([*records[:3], flipped, *records[4:]], tmp_path / "c.csv")
 
     def diff(other, base="a.csv"):
-        return subprocess.run(
-            [sys.executable, str(root / "scripts" / "trace_diff.py"), str(tmp_path / base), str(tmp_path / other)],
-            capture_output=True, text=True, timeout=60,
-        )
+        return run_trace_diff(tmp_path / base, tmp_path / other)
 
     moved = diff("b.csv")
     assert moved.returncode == 0 and "decision columns identical" in moved.stdout
@@ -635,6 +611,67 @@ def test_trace_diff_script_checks_decision_columns(tmp_path):
         bad = diff(run, "run_a")
         assert bad.returncode == 2
         assert bad.stderr == f"error: {tmp_path / run / 'final.params'}: {message}\n"
+
+
+HEADER = ",".join(TRACE_COLUMNS)
+GOOD_ROW = "1,1,0,10.0,-0.5,1.0,true,false,0.5,nan,0.1"
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        (b"", "", "unexpected trace header"),
+        (b"a,b\n1,2", "", "unexpected trace header"),
+        (b"t,tau\n1,1\n", "", "unexpected trace header"),
+        (f"{HEADER}\n{GOOD_ROW}\n1,1,0,10.0".encode(), ":3", "4 fields, expected 11"),
+        (f"{HEADER}\n{GOOD_ROW}\n{GOOD_ROW},7\n".encode(), ":3", "12 fields, expected 11"),
+        (f"{HEADER}\n1,1,0,10.0,abc,1.0,true,false,0.5,nan,0.1\n".encode(), ":2",
+         "could not convert string to float: 'abc'"),
+        (f"{HEADER}\n1,x,0,10.0,-0.5,1.0,true,false,0.5,nan,0.1\n".encode(), ":2",
+         "invalid literal for int() with base 10: 'x'"),
+        (f"{HEADER}\n1,1,0,10.0,-0.5,1.0,yes,false,0.5,nan,0.1\n".encode(), ":2",
+         "not a boolean: 'yes'"),
+        (f"{HEADER}\n".encode() + b"\x80\x81,\xff\n", "",
+         "not UTF-8 text (invalid start byte at byte 76)"),
+    ],
+    ids=["empty", "foreign_header", "short_header", "4_fields", "12_fields", "bad_float",
+         "bad_int", "bad_boolean", "not_utf8"],
+)
+def test_trace_diff_script_rejects_malformed_trace(tmp_path, text, where, message):
+    # exit 2 with one error line naming the file, and the line of a bad row,
+    # not 1 as if the traces differed; either side of the comparison is read
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(f"{HEADER}\n{GOOD_ROW}\n")
+    bad.write_bytes(text)
+    for a, b in [(bad, bad), (good, bad), (bad, good)]:
+        run = run_trace_diff(a, b)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr == f"error: {bad}{where}: {message}\n"
+
+
+def test_trace_diff_script_rejects_cut_run_trace(tmp_path):
+    # a trace.csv cut mid-row, in a run directory, is named with its line
+    _, _, records = train(dataclasses.replace(LINREG_CFG, max_iters=20))
+    for run in ("run_a", "run_cut"):
+        (tmp_path / run).mkdir()
+        emit_trace(records, tmp_path / run / "trace.csv")
+        models.save_checkpoint(tmp_path / run / "final.params", np.array([0.25, -1.5, 3.0]))
+    cut = tmp_path / "run_cut" / "trace.csv"
+    cut.write_bytes(cut.read_bytes()[:300])
+    lines = cut.read_text().splitlines()
+    line, fields = len(lines), len(lines[-1].split(","))
+    assert 1 < line and fields < len(TRACE_COLUMNS)
+    for a, b in [("run_cut", "run_cut"), ("run_a", "run_cut")]:
+        run = run_trace_diff(tmp_path / a, tmp_path / b)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr == f"error: {cut}:{line}: {fields} fields, expected 11\n"
+
+
+def test_trace_diff_script_names_a_missing_file(tmp_path):
+    emit_trace([], tmp_path / "a.csv")
+    run = run_trace_diff(tmp_path / "a.csv", tmp_path / "missing.csv")
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: ") and str(tmp_path / "missing.csv") in run.stderr
 
 
 def test_train_and_compare_demo_prints_both_methods():
