@@ -176,10 +176,8 @@ def max_steps_within(state: AccountantState, eps_budget: float) -> int:
     the last tau within a budget of at least epsilon(1) >= 0 is
     floor((budget - tail_alpha) / rdp_alpha); spend is a min over orders,
     so tau* is the max of those. Each floor is moved at most one step to
-    agree with spend's own rounding.
+    agree with spend's own rounding. The config read checks eps_budget is finite.
     """
-    if not math.isfinite(eps_budget):
-        raise SadpError(f"eps_budget={eps_budget} must be finite")
     eps_one = state.epsilon(1)
     if eps_one > eps_budget:
         raise BudgetInfeasibleError(

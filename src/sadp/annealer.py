@@ -52,12 +52,9 @@ def acceptance_probability(delta_e: float, Q: float) -> float:
     """1 when the move improves, exp(-delta_e * Q) otherwise.
 
     The temperature multiplies the energy change: large Q means cold, so
-    the chain hardens as acceptances accumulate.
+    the chain hardens as acceptances accumulate. `decide` passes a finite
+    delta_e and Q = Q0 * tau >= 0.
     """
-    if not math.isfinite(delta_e):
-        raise SadpError(f"delta_e={delta_e} is not finite")
-    if Q < 0:
-        raise SadpError("Q must be >= 0")
     if delta_e <= 0:
         return 1.0
     return min(math.exp(-delta_e * Q), 1.0)

@@ -51,9 +51,10 @@ def _cmd_train(args) -> int:
     config = harness.load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    w, spend, records = harness.train(config)
+    # made before training, so an unusable --out costs no run
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    w, spend, records = harness.train(config)
     harness.emit_trace(records, out / "trace.csv")
     models.save_checkpoint(out / "final.params", w)
     print(
@@ -72,9 +73,9 @@ def _cmd_compare(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise SadpError(f"--seeds must list integers, got {args.seeds!r}") from None
-    summaries = harness.compare(configs, seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    summaries = harness.compare(configs, seeds)
     harness.emit_summary(summaries, out / "summary.csv", out / "summary.json")
     for s in summaries:
         print(

@@ -164,9 +164,7 @@ def load_csv(path) -> LabeledDataset:
 
 def poisson_sample(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices of 0..n-1, each included independently with
-    probability q in (0, 1]."""
-    if not 0.0 < q <= 1.0:
-        raise SadpError(f"inclusion probability q={q} must be in (0, 1]")
+    probability q in (0, 1], as AccountantState checks it."""
     return np.flatnonzero(rng.random(n) < q)
 
 
@@ -174,8 +172,6 @@ def synth_linear(
     n: int, weights: np.ndarray, noise_std: float, seed: int
 ) -> LabeledDataset:
     """Targets <weights, x> + N(0, noise_std^2), x uniform on [-1, 1]^d."""
-    if n < 1:
-        raise SadpError("n must be >= 1")
     if noise_std < 0:
         raise SadpError("noise_std must be >= 0")
     weights = np.asarray(weights, dtype=np.float64)
@@ -198,9 +194,8 @@ def synth_blobs(n: int, n_classes: int, dim: int, seed: int) -> LabeledDataset:
 
 def split(n: int, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(train rows, eval rows) of n rows: a seeded shuffle of 0..n-1, the
-    first floor(n * eval_fraction) of it carved off for eval."""
-    if not 0.0 < eval_fraction < 1.0:
-        raise SadpError("eval_fraction must be in (0, 1)")
+    first floor(n * eval_fraction) of it carved off for eval; the config
+    read checks eval_fraction is in (0, 1)."""
     perm = np.random.default_rng(seed).permutation(n)
     n_eval = int(n * eval_fraction)
     return perm[n_eval:], perm[:n_eval]

@@ -90,21 +90,15 @@ def noisy_average(
     DP-SGD's noise_std is sigma * C, the noise multiplier times the clip
     norm. The divisor is the nominal lot size, not the realized batch
     cardinality. An empty batch passes a zero vector and gets pure noise.
+    Only noise_std is checked here: sigma * C can underflow to 0.
     """
     if noise_std <= 0:
         raise SadpError("noise_std must be > 0")
-    if lot_size < 1:
-        raise SadpError("lot_size must be >= 1")
     z = rng.normal(0.0, noise_std, size=len(clipped_sum))
     return (clipped_sum + z) / lot_size
 
 
 def sgd_step(w: np.ndarray, g_tilde: np.ndarray, eta: float) -> np.ndarray:
-    """One descent step w - eta * g."""
-    w = np.asarray(w, dtype=np.float64)
-    g_tilde = np.asarray(g_tilde, dtype=np.float64)
-    if w.shape != g_tilde.shape:
-        raise SadpError(f"parameter shape {w.shape} != gradient shape {g_tilde.shape}")
-    if eta <= 0:
-        raise SadpError("eta must be > 0")
+    """One descent step w - eta * g, for float64 vectors of one shape and the
+    eta > 0 the config read checked."""
     return w - eta * g_tilde

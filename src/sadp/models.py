@@ -86,9 +86,8 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _weights(spec: ModelSpec, w: np.ndarray) -> list[np.ndarray]:
     """Flat vector -> [[W; b], ...]: each layer's slice is W (fan_in, fan_out)
-    then b, so reshaped to (fan_in + 1, fan_out) it is [W; b], a view."""
-    if len(w) != spec.n_params:
-        raise SadpError(f"expected {spec.n_params} parameters, got {len(w)}")
+    then b, so reshaped to (fan_in + 1, fan_out) it is [W; b], a view. w has
+    spec.n_params entries, as init_params makes it."""
     if not np.isfinite(w).all():
         raise SadpError("parameter vector has non-finite entries")
     layers, offset = [], 0
@@ -118,13 +117,9 @@ class Batch:
 
 
 def to_batch(spec: ModelSpec, X, y) -> Batch:
-    """A Batch of row-major (n, input_dim) features X and targets y; uint8
-    pixel rows are widened to [0, 1] straight into the inputs."""
+    """A Batch of a LabeledDataset's (n, input_dim) features X and targets y;
+    uint8 pixel rows are widened to [0, 1] straight into the inputs."""
     X, y = np.asarray(X), np.asarray(y)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise SadpError(f"features must be (n, {spec.input_dim}), got {X.shape}")
-    if len(y) != len(X):
-        raise SadpError("feature/target row counts differ")
     inputs = np.empty((spec.input_dim + 1, len(X)))
     data.widen(X, out=inputs[:-1].T)
     inputs[-1] = 1.0
@@ -214,9 +209,7 @@ def per_example_losses_grads(
 
 
 def evaluate(spec: ModelSpec, w: np.ndarray, batch: Batch) -> tuple[float, float | None]:
-    """(mean loss, accuracy) on a Batch; accuracy is None for regression."""
-    if len(batch) == 0:
-        raise SadpError("cannot evaluate on an empty dataset")
+    """(mean loss, accuracy) on a non-empty Batch; accuracy None for regression."""
     out, _, _ = _forward(spec, w, batch.inputs)
     losses, top = _losses(spec, out, batch)
     loss = float(np.mean(losses))

@@ -11,7 +11,6 @@ import pytest
 from sadp.annealer import (
     AnnealerState,
     Decision,
-    SadpError,
     acceptance_probability,
     advance,
     decide,
@@ -38,12 +37,6 @@ class TestAcceptanceProbability:
         assert probs == sorted(probs, reverse=True)
         probs = [acceptance_probability(0.5, q) for q in (0.0, 1.0, 10.0, 100.0)]
         assert probs == sorted(probs, reverse=True)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(SadpError, match=r"^delta_e=nan is not finite$"):
-            acceptance_probability(math.nan, 1.0)
-        with pytest.raises(SadpError, match=r"^delta_e=inf is not finite$"):
-            acceptance_probability(math.inf, 1.0)
 
 
 class TestDecide:
@@ -77,6 +70,12 @@ class TestDecide:
 
     def test_nan_energy_change_is_rejected(self):
         d = decide(math.nan, fresh_state(), np.random.default_rng(0))
+        assert not d.accepted and d.probability == 0.0
+
+    def test_infinite_energy_change_is_rejected_at_zero_temperature(self):
+        # Q = 0 before the first acceptance, where exp(-inf * 0) would be NaN
+        cold_start = dataclasses.replace(fresh_state(), Q=0.0)
+        d = decide(math.inf, cold_start, np.random.default_rng(0))
         assert not d.accepted and d.probability == 0.0
 
 

@@ -127,6 +127,13 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (MLP_CFG, "model = softmax_regression\nlayer_widths = 128"),
         (SMALL_CFG, "layer_widths = 128"),
         (SMALL_CFG, "synth_n = 100\nlot_size = 512\nmax_iters = 5"),
+        (SMALL_CFG, "eta = 0"),
+        (SMALL_CFG, "eta = -1"),
+        (SMALL_CFG, "lot_size = 0"),
+        (SMALL_CFG, "eval_fraction = 1"),
+        (SMALL_CFG, "eval_fraction = -0.5"),
+        # sigma * C underflows to 0: noisy_average rejects it at the first candidate
+        (SMALL_CFG, "sigma = 1e-200\nclip_norm = 1e-200"),
     ],
     ids=[
         "clip_kind", "activation", "eval_fraction", "auto_s_gamma", "model", "mlp_widths",
@@ -134,7 +141,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         "zero_synth_n", "zero_blob_classes", "zero_blob_dim", "negative_seed",
         "negative_synth_seed", "empty_held_out_small_n", "empty_held_out_small_fraction",
         "negative_noise_std", "no_synth_weights", "softmax_widths", "linear_widths",
-        "lot_size_over_train_rows",
+        "lot_size_over_train_rows", "zero_eta", "negative_eta", "zero_lot_size",
+        "unit_eval_fraction", "negative_eval_fraction", "noise_std_underflow",
     ],
 )
 def test_invalid_field_exits_2_without_traceback(tmp_path, capsys, base, override):
@@ -373,6 +381,20 @@ def test_compare_rejects_every_bad_input_before_its_first_run(
     bad = write_cfg(tmp_path, SMALL_CFG + override + "\n", name="bad.cfg")
     argv = ["compare", "--configs", str(good), str(bad), "--seeds", seeds, "--out", str(tmp_path)]
     assert assert_exits_2_without_traceback(capsys, argv) == f"error: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_unusable_out_exits_4_before_its_first_run(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(harness, "train", calls.append)
+    cfg = write_cfg(tmp_path)
+    (tmp_path / "file").write_text("")
+    flag = ["train", "--config"] if command == "train" else ["compare", "--seeds", "0,1,2", "--configs"]
+    argv = [*flag, str(cfg), "--out", str(tmp_path / "file" / "out")]
+    assert cli.main(argv) == errors.DataFileError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert calls == []
 
 

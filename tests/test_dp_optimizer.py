@@ -251,14 +251,10 @@ class TestNoisyAverage:
         b = noisy_average(total, 1.0, 2, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "noise_std, lot_size, message",
-        [(0.0, 1, "noise_std must be > 0"), (-1.0, 1, "noise_std must be > 0"),
-         (1.0, 0, "lot_size must be >= 1")],
-    )
-    def test_rejects_bad_noise_or_lot_size(self, noise_std, lot_size, message):
-        with pytest.raises(SadpError, match=f"^{message}$"):
-            noisy_average(np.zeros(3), noise_std, lot_size, np.random.default_rng(0))
+    @pytest.mark.parametrize("noise_std", [0.0, -1.0])
+    def test_rejects_non_positive_noise_std(self, noise_std):
+        with pytest.raises(SadpError, match="^noise_std must be > 0$"):
+            noisy_average(np.zeros(3), noise_std, 1, np.random.default_rng(0))
 
     def test_replacing_one_gradient_moves_sum_at_most_2c(self):
         rng = np.random.default_rng(4)
@@ -284,10 +280,6 @@ class TestSgdStep:
         np.testing.assert_allclose(
             sgd_step(np.array([1.0, 1.0]), np.array([2.0, -2.0]), 0.5), [0.0, 2.0]
         )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SadpError, match=r"^parameter shape \(3,\) != gradient shape \(2,\)$"):
-            sgd_step(np.zeros(3), np.zeros(2), 0.1)
 
     def test_reproduces_plain_gradient_descent_on_quadratic(self):
         # f(w) = 0.5 w' diag(a) w has the closed-form iterate

@@ -1,8 +1,8 @@
 """The error hierarchy: one class per exit code, each a ValueError, which
 `cli.main` maps to that code; sadp code raises no builtin exception and
-defines no exception class outside `sadp.errors`. And a guard against code
-only tests reach: every public function or class of sadp has a caller
-outside `tests/`."""
+defines no exception class outside `sadp.errors`, and raises each message
+from one site. And a guard against code only tests reach: every public
+function or class of sadp has a caller outside `tests/`."""
 
 import ast
 import builtins
@@ -117,6 +117,32 @@ def test_only_errors_defines_exception_classes(path):
     # one class per exit code, all in sadp.errors: a new failure gets a message
     expected = sorted(DOCUMENTED_EXIT_CODES) if path.name == "errors.py" else []
     assert sorted(exception_classes(path.read_text())) == expected
+
+
+def error_messages(source: str) -> list[str]:
+    """The message expression, as `ast.unparse` writes it, of each `raise`
+    of a sadp.errors class called with one."""
+    names = {c.__name__ for c in ERROR_CLASSES}
+    return [
+        ast.unparse(node.exc.args[0]) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args
+        and getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None)) in names
+    ]
+
+
+def test_guard_finds_error_messages():
+    source = (
+        "def f(x):\n    if x:\n        raise SadpError(f'x={x} must be > 0')\n"
+        "    raise errors.DataFileError('bad file') from None\n"
+        "raise ValueError('not sadp')\nraise SadpError\n"
+    )
+    assert sorted(error_messages(source)) == ["'bad file'", "f'x={x} must be > 0'"]
+
+
+def test_each_error_message_is_raised_once():
+    # one home per rule: a message raised at two sites is a rule checked twice
+    messages = [m for path in sorted(SRC.glob("*.py")) for m in error_messages(path.read_text())]
+    assert sorted({m for m in messages if messages.count(m) > 1}) == []
 
 
 REPO = SRC.parent.parent

@@ -109,13 +109,8 @@ class TestPerExampleGrads:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_dimension_and_finiteness_errors(self):
-        w = np.zeros(LINREG.n_params)
-        with pytest.raises(SadpError, match=r"^features must be \(n, 3\), got \(2, 5\)$"):
-            per_example_losses_grads(LINREG, w, np.zeros((2, 5)), np.zeros(2))
-        with pytest.raises(SadpError, match=r"^expected 4 parameters, got 99$"):
-            per_example_losses_grads(LINREG, np.zeros(99), np.zeros((2, 3)), np.zeros(2))
-        bad = w.copy()
+    def test_non_finite_parameters_rejected(self):
+        bad = np.zeros(LINREG.n_params)
         bad[0] = np.nan
         with pytest.raises(SadpError, match=r"^parameter vector has non-finite entries$"):
             per_example_losses_grads(LINREG, bad, np.zeros((2, 3)), np.zeros(2))
@@ -210,10 +205,6 @@ class TestEvaluate:
         assert not variants[2].flags.c_contiguous and not variants[2].flags.f_contiguous
         results = [evaluate(spec, w, to_batch(spec, V, y)) for V in variants]
         assert results[1] == results[0] and results[2] == results[0]
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(SadpError, match=r"^cannot evaluate on an empty dataset$"):
-            evaluate(LINREG, np.zeros(LINREG.n_params), to_batch(LINREG, np.zeros((0, 3)), np.zeros(0)))
 
 
 def logit_model(k):
