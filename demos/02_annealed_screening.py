@@ -11,19 +11,21 @@ Run: python demos/02_annealed_screening.py
 
 import numpy as np
 
-from sadp.annealer import AnnealerState, acceptance_probability, advance, decide
+from sadp.annealer import acceptance_probability, decide
 
 rng = np.random.default_rng(0)
-state = AnnealerState.initial(Q0=5.0, mu0=4, energy=1.0)
+Q0, mu0 = 5.0, 4
+tau, mu, Q = 0, 0, Q0   # accepted so far, rejections in a row, temperature
 
 print("t   tau  mu  Q      delta_E   P        accepted forced")
-for t in range(25):
+for t in range(1, 26):
     delta_e = float(rng.normal(scale=0.05))
-    d = decide(delta_e, state, rng)
-    state = advance(state, d, state.energy + delta_e if d.accepted else state.energy)
+    accepted, forced, p = decide(delta_e, Q, mu, mu0, rng)
+    tau, mu = (tau + 1, 0) if accepted else (tau, mu + 1)
+    Q = Q0 * tau
     print(
-        f"{state.t:<3d} {state.tau:<4d} {state.mu:<3d} {state.Q:<6.1f}"
-        f" {delta_e:+.4f}  {d.probability:.5f}  {str(d.accepted):<8s} {d.forced}"
+        f"{t:<3d} {tau:<4d} {mu:<3d} {Q:<6.1f}"
+        f" {delta_e:+.4f}  {p:.5f}  {str(accepted):<8s} {forced}"
     )
 
 print("\nAcceptance probability for a worsening move shrinks as tau grows:")

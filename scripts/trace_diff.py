@@ -23,17 +23,18 @@ from __future__ import annotations
 
 import math
 import sys
+import typing
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sadp import models
 from sadp.errors import DataFileError
-from sadp.harness import TRACE_COLUMNS
+from sadp.harness import TRACE_COLUMNS, IterationRecord
 
 IDENTICAL = ("t", "tau", "mu", "accepted", "forced", "eval_accuracy", "epsilon_so_far")
-INTS = ("t", "tau", "mu")
-BOOLS = ("accepted", "forced")
-FLOATS = ("Q", "delta_E", "P", "eval_loss", "eval_accuracy", "epsilon_so_far")
+# each column's type, as IterationRecord declares it
+_TYPES = typing.get_type_hints(IterationRecord)
+INTS, BOOLS, FLOATS = (tuple(c for c in TRACE_COLUMNS if _TYPES[c] is t) for t in (int, bool, float))
 
 
 def _read(path) -> list[list[str]]:

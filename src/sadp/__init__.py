@@ -6,13 +6,7 @@ from .accountant import (
     max_steps_within,
     spend,
 )
-from .annealer import (
-    AnnealerState,
-    Decision,
-    acceptance_probability,
-    advance,
-    decide,
-)
+from .annealer import acceptance_probability, decide
 from .data import LabeledDataset, load_csv, load_idx, poisson_sample, split, synth_blobs, synth_linear
 from .dp_optimizer import ClipPolicy, clip_batch, clipped_grad_sum, noisy_average, sgd_step
 from .harness import IterationRecord, TrainConfig, compare, emit_trace, load_config, train

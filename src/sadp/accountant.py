@@ -76,10 +76,11 @@ def _rdp_curve(q: float, sigma: float) -> np.ndarray:
     k = np.arange(2, alpha.max() + 1)[:, None]
     log_q = math.log(q) if q < 1.0 else 0.0
     log_1mq = math.log1p(-q) if q < 1.0 else -math.inf
-    c = (k * k - k) / (2.0 * sigma * sigma)
     # 0 * -inf would poison the k=alpha term, and k > alpha has no term at
-    # all; mask both explicitly (c underflows to 0 only at huge sigma)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # all; mask both explicitly (c underflows to 0 only at huge sigma, and
+    # overflows to inf at tiny sigma, where the curve is inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = (k * k - k) / (2.0 * sigma * sigma)
         terms = (
             _LOG_BINOMIALS
             + np.where(k == alpha, 0.0, (alpha - k) * log_1mq)

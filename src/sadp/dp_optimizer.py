@@ -90,10 +90,8 @@ def noisy_average(
     DP-SGD's noise_std is sigma * C, the noise multiplier times the clip
     norm. The divisor is the nominal lot size, not the realized batch
     cardinality. An empty batch passes a zero vector and gets pure noise.
-    Only noise_std is checked here: sigma * C can underflow to 0.
+    noise_std > 0 is checked when the config is read.
     """
-    if noise_std <= 0:
-        raise SadpError("noise_std must be > 0")
     z = rng.normal(0.0, noise_std, size=len(clipped_sum))
     return (clipped_sum + z) / lot_size
 

@@ -81,12 +81,18 @@ class TrainConfig:
             raise SadpError("seed and synth_seed must be >= 0")
         if not 0.0 < self.eval_fraction < 1.0:
             raise SadpError("eval_fraction must be in (0, 1)")
-        # the rest of the rules belong to the types a run builds: each raises
-        # SadpError on a bad value
+        if self.q0 <= 0:
+            raise SadpError("Q0 must be > 0")
+        if self.mu0 < 1:
+            raise SadpError("mu0 must be >= 1")
+        # the types a run builds hold their own rules: each raises SadpError
+        # on a bad value
         models.ModelSpec(self.model, 1, 1, tuple(self.layer_widths), self.activation)
         dp_optimizer.ClipPolicy(self.clip_kind, self.clip_norm, self.gamma)
         accountant.AccountantState(1.0, self.sigma, self.delta, self.tight_conversion)
-        annealer.AnnealerState.initial(self.q0, self.mu0)
+        # the noise scale sigma * C, positive factors whose product can underflow
+        if not self.sigma * self.clip_norm > 0:
+            raise SadpError(f"sigma * clip_norm = {self.sigma * self.clip_norm!r} must be > 0")
 
 
 def _parse_value(hint, text: str):
@@ -271,14 +277,14 @@ def train(config: TrainConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         energy, cur_acc = models.evaluate(spec, w, eval_batch)
     _check_energy(energy, "at the initial parameters")
-    state = annealer.AnnealerState.initial(config.q0, config.mu0, energy=energy)
 
+    # the acceptance chain: t candidates, tau accepted, mu rejected in a
+    # row; the temperature Q is q0 before the first candidate, q0 * tau after
+    t, tau, mu, Q = 0, 0, 0, config.q0
     records: list[IterationRecord] = []
     eps_tau, epsilon = None, math.nan   # epsilon_so_far changes only with tau
-    for _ in range(config.max_iters):
-        if max_charged is not None and state.tau >= max_charged:
-            break
-
+    while t < config.max_iters and (max_charged is None or tau < max_charged):
+        t += 1
         rows = train_rows[data.poisson_sample(len(train_rows), q, sample_rng)]
         clipped_sum = dp_optimizer.clipped_grad_sum(
             spec, w, dataset.features[rows], dataset.labels[rows], clip_policy
@@ -289,36 +295,28 @@ def train(config: TrainConfig):
         with np.errstate(over="ignore", invalid="ignore"):
             w_new = dp_optimizer.sgd_step(w, g_tilde, config.eta)
             new_energy, new_acc = models.evaluate(spec, w_new, eval_batch)
-        delta_e = new_energy - state.energy
+        delta_e = new_energy - energy
 
         if config.method == "sa_dpsgd":
-            decision = annealer.decide(delta_e, state, decide_rng)
+            accepted, forced, P = annealer.decide(delta_e, Q, mu, config.mu0, decide_rng)
         else:
-            decision = annealer.Decision(accepted=True, forced=False, probability=1.0)
-        if decision.accepted:
-            _check_energy(new_energy, f"at applied candidate {state.t + 1}")
-            w = w_new
-            cur_acc = new_acc
-        state = annealer.advance(state, decision, new_energy)
-        if state.tau != eps_tau:
-            eps_tau, epsilon = state.tau, acct.epsilon(state.tau)
-        records.append(
-            IterationRecord(
-                t=state.t,
-                tau=state.tau,
-                mu=state.mu,
-                Q=state.Q,
-                delta_E=delta_e,
-                P=decision.probability,
-                accepted=decision.accepted,
-                forced=decision.forced,
-                eval_loss=state.energy,
-                eval_accuracy=math.nan if cur_acc is None else cur_acc,
-                epsilon_so_far=epsilon,
-            )
-        )
+            accepted, forced, P = True, False, 1.0
+        if accepted:
+            _check_energy(new_energy, f"at applied candidate {t}")
+            w, energy, cur_acc = w_new, new_energy, new_acc
+            tau, mu = tau + 1, 0
+        else:
+            mu += 1
+        Q = config.q0 * tau
+        if tau != eps_tau:
+            eps_tau, epsilon = tau, acct.epsilon(tau)
+        records.append(IterationRecord(
+            t=t, tau=tau, mu=mu, Q=Q, delta_E=delta_e, P=P, accepted=accepted, forced=forced,
+            eval_loss=energy, eval_accuracy=math.nan if cur_acc is None else cur_acc,
+            epsilon_so_far=epsilon,
+        ))
 
-    return w, accountant.spend(acct, state.tau, computed=state.t), records
+    return w, accountant.spend(acct, tau, computed=t), records
 
 
 def _check_energy(energy: float, where: str) -> None:

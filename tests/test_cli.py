@@ -132,8 +132,13 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (SMALL_CFG, "lot_size = 0"),
         (SMALL_CFG, "eval_fraction = 1"),
         (SMALL_CFG, "eval_fraction = -0.5"),
-        # sigma * C underflows to 0: noisy_average rejects it at the first candidate
+        # sigma * C underflows to 0: rejected when the config is read, so
+        # before the budget is solved
         (SMALL_CFG, "sigma = 1e-200\nclip_norm = 1e-200"),
+        (SMALL_CFG, "sigma = 1e-200\nclip_norm = 1e-200\neps_budget = 3"),
+        (SMALL_CFG, "q0 = 0"),
+        (SMALL_CFG, "q0 = -1"),
+        (SMALL_CFG, "mu0 = 0"),
     ],
     ids=[
         "clip_kind", "activation", "eval_fraction", "auto_s_gamma", "model", "mlp_widths",
@@ -143,6 +148,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         "negative_noise_std", "no_synth_weights", "softmax_widths", "linear_widths",
         "lot_size_over_train_rows", "zero_eta", "negative_eta", "zero_lot_size",
         "unit_eval_fraction", "negative_eval_fraction", "noise_std_underflow",
+        "budgeted_noise_std_underflow", "zero_q0", "negative_q0", "zero_mu0",
     ],
 )
 def test_invalid_field_exits_2_without_traceback(tmp_path, capsys, base, override):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from sadp import accountant, cli, data, harness, models
+from sadp.annealer import acceptance_probability
 from sadp.harness import (
     TRACE_COLUMNS,
     IterationRecord,
@@ -57,6 +59,9 @@ BAD_CONFIGS = {
     "clip_kind = foo": r"^unknown clip kind 'foo'$",
     "activation = relu": r"^unknown activation 'relu'$",
     "delta = 1.5": r"^delta=1.5 must be in \(0, 1\)$",
+    "q0 = 0": r"^Q0 must be > 0$",
+    "mu0 = 0": r"^mu0 must be >= 1$",
+    "sigma = 1e-200\nclip_norm = 1e-200": r"^sigma \* clip_norm = 0.0 must be > 0$",
 }
 
 
@@ -153,6 +158,25 @@ class TestTrain:
             assert r.accepted and not r.forced
             assert r.tau == r.t
 
+    def test_sa_dpsgd_trace_rows_follow_the_chain_rules(self):
+        # loud noise and a short rejection cap: every path of the chain occurs
+        cfg = dataclasses.replace(LINREG_CFG, synth_n=200, lot_size=20, sigma=50.0,
+                                  max_iters=200, q0=5.0, mu0=3)
+        paths = collections.Counter()
+        for seed in range(3):
+            _, _, records = train(dataclasses.replace(cfg, seed=seed))
+            paths.update(assert_chain_rules(cfg, records))
+        assert {"improving", "risky", "rejected", "forced", "first_rejected"} <= set(paths)
+
+    def test_dpsgd_trace_rows_follow_the_chain_rules(self):
+        cfg = dataclasses.replace(LINREG_CFG, method="dpsgd", synth_n=200, lot_size=20,
+                                  sigma=50.0, max_iters=200, q0=5.0, mu0=3)
+        for seed in range(3):
+            _, _, records = train(dataclasses.replace(cfg, seed=seed))
+            paths = assert_chain_rules(cfg, records)
+            assert all(r.accepted and not r.forced and r.P == 1.0 for r in records)
+            assert paths["risky"] > 0 and "rejected" not in paths
+
     @pytest.mark.parametrize("tight", [False, True])
     def test_final_spend_matches_independent_recompute(self, tight):
         cfg = dataclasses.replace(LINREG_CFG, max_iters=80, tight_conversion=tight)
@@ -212,6 +236,44 @@ class TestTrain:
         _, spend_, records = train(dataclasses.replace(cfg, lot_size=90))
         full_batch = accountant.AccountantState(1.0, cfg.sigma, cfg.delta)
         assert len(records) == 5 and spend_.epsilon == full_batch.epsilon(records[-1].tau)
+
+
+def assert_chain_rules(cfg, records) -> collections.Counter:
+    """Checks each trace row against the row before it (the chain's start
+    before the first) and counts the paths the rows took: improving, risky,
+    rejected and forced, and first_rejected when the first candidate is
+    rejected."""
+    paths = collections.Counter()
+    tau, mu, Q, energy, epsilon = 0, 0, cfg.q0, None, None
+    for t, r in enumerate(records, start=1):
+        assert r.t == t
+        assert r.tau == tau + r.accepted
+        assert r.mu == (0 if r.accepted else mu + 1) <= cfg.mu0
+        assert r.forced == (cfg.method == "sa_dpsgd" and mu == cfg.mu0)
+        assert r.Q == cfg.q0 * r.tau
+        if r.forced:
+            paths["forced"] += 1
+            assert r.accepted and r.P == 1.0
+        else:
+            assert r.P == (1.0 if cfg.method == "dpsgd" else acceptance_probability(r.delta_E, Q))
+            if r.accepted:
+                paths["improving" if r.delta_E <= 0 else "risky"] += 1
+            else:
+                paths["rejected"] += 1
+        if energy is not None:
+            if r.accepted:
+                assert r.eval_loss == pytest.approx(energy + r.delta_E, rel=1e-12, abs=1e-15)
+            else:
+                assert r.eval_loss == energy
+        if t == 2 and not records[0].accepted:
+            # a first-candidate rejection leaves Q = 0, where any finite
+            # change is accepted with probability 1
+            paths["first_rejected"] += 1
+            assert Q == 0.0 and r.P == 1.0
+        if r.tau == tau and t > 1:
+            assert r.epsilon_so_far == epsilon
+        tau, mu, Q, energy, epsilon = r.tau, r.mu, r.Q, r.eval_loss, r.epsilon_so_far
+    return paths
 
 
 def assert_trace_holds(path, records):
