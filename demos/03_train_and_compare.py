@@ -8,9 +8,8 @@ Run: python demos/03_train_and_compare.py
 """
 
 import dataclasses
-import statistics
 
-from sadp.harness import TrainConfig, train
+from sadp.harness import TrainConfig, compare, train
 
 base = TrainConfig(
     method="sa_dpsgd",
@@ -29,15 +28,12 @@ base = TrainConfig(
     mu0=10,
 )
 
-for method in ("sa_dpsgd", "dpsgd"):
-    losses = []
-    for seed in range(5):
-        cfg = dataclasses.replace(base, method=method, seed=seed)
-        _, spend, records = train(cfg)
-        losses.append(records[-1].eval_loss)
+# No budget, so every run computes max_iters candidates.
+configs = [dataclasses.replace(base, method=method) for method in ("sa_dpsgd", "dpsgd")]
+for s in compare(configs, seeds=range(5)):
     print(
-        f"{method:8s}: mean final eval loss {statistics.fmean(losses):.6f}"
-        f" over {len(losses)} seeds ({len(records)} iterations each)"
+        f"{s['method']:8s}: mean final eval loss {s['mean_final_loss']:.6f}"
+        f" over {s['n_runs']} seeds ({base.max_iters} iterations each)"
     )
 
 # Peek at the first few rows of a trace.

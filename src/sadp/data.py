@@ -28,6 +28,7 @@ from .errors import DataFileError, SadpError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+BLOB_CENTER_SEED = 20221114
 
 
 @dataclass(frozen=True)
@@ -182,9 +183,10 @@ def synth_linear(
 
 
 def synth_blobs(n: int, n_classes: int, dim: int, seed: int) -> LabeledDataset:
-    """Gaussian class clusters squashed into [0, 1], image-like surrogate."""
+    """Gaussian class clusters squashed into [0, 1], image-like surrogate; the
+    centers come from BLOB_CENTER_SEED, so the seed draws only labels and noise."""
+    centers = np.random.default_rng(BLOB_CENTER_SEED).uniform(0.2, 0.8, size=(n_classes, dim))
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(0.2, 0.8, size=(n_classes, dim))
     labels = rng.integers(0, n_classes, size=n)
     X = centers[labels] + rng.normal(0.0, 0.15, size=(n, dim))
     return LabeledDataset(

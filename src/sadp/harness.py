@@ -141,8 +141,7 @@ def load_config(path) -> TrainConfig:
     return parse_config_text(text)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(typing.NamedTuple):
     t: int
     tau: int
     mu: int
@@ -156,7 +155,7 @@ class IterationRecord:
     epsilon_so_far: float
 
 
-TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterationRecord)]
+TRACE_COLUMNS = list(IterationRecord._fields)
 
 
 def _load_splits(config: TrainConfig):
@@ -218,26 +217,34 @@ def _gather(dataset: data.LabeledDataset, rows: np.ndarray) -> data.LabeledDatas
     return data.LabeledDataset(dataset.features[rows], dataset.labels[rows])
 
 
-def _model_spec(config: TrainConfig, dim: int, train_labels, *others) -> models.ModelSpec:
-    """The model for dim features and the training labels; every label array
-    (None skipped) must index its outputs, [0, training class count)."""
-    if dim < 1:
+def _prepare(config: TrainConfig):
+    """Load and check one run's data: returns (dataset as read, its training
+    rows, the ModelSpec, the energy-evaluation Batch). The model takes the
+    dataset's features and the training labels; every label array must index
+    its outputs, [0, training class count)."""
+    dataset, train_rows, eval_set, test_set = _load_splits(config)
+    if config.lot_size > len(train_rows):
+        raise SadpError(f"lot_size {config.lot_size} exceeds the {len(train_rows)} training rows")
+    if dataset.dim < 1:
         raise SadpError("the dataset has no feature columns")
+    train_labels = dataset.labels[train_rows]
     regression = not np.issubdtype(train_labels.dtype, np.integer)
     if config.model == models.LINEAR_REGRESSION or regression:
         if config.model != models.LINEAR_REGRESSION:
             raise SadpError("regression targets require model=linear_regression")
-        return models.ModelSpec(models.LINEAR_REGRESSION, dim, 1)
-    spec = models.ModelSpec(
-        config.model, dim, int(train_labels.max()) + 1,
-        layer_widths=tuple(config.layer_widths), activation=config.activation,
-    )
-    for labels in (train_labels, *others):
-        if labels is not None and np.any((labels < 0) | (labels >= spec.output_dim)):
-            raise SadpError(
-                f"class labels must lie in [0, {spec.output_dim}), the training set's range"
-            )
-    return spec
+        spec = models.ModelSpec(models.LINEAR_REGRESSION, dataset.dim, 1)
+    else:
+        spec = models.ModelSpec(
+            config.model, dataset.dim, int(train_labels.max()) + 1,
+            layer_widths=tuple(config.layer_widths), activation=config.activation,
+        )
+        for labels in (train_labels, eval_set.labels, None if test_set is None else test_set.labels):
+            if labels is not None and np.any((labels < 0) | (labels >= spec.output_dim)):
+                raise SadpError(
+                    f"class labels must lie in [0, {spec.output_dim}), the training set's range"
+                )
+    # the evaluation rows live on only as the run's feature-major Batch
+    return dataset, train_rows, spec, models.to_batch(spec, eval_set.features, eval_set.labels)
 
 
 def train(config: TrainConfig):
@@ -248,17 +255,7 @@ def train(config: TrainConfig):
     method=sa_dpsgd, every candidate passes the annealed acceptance test;
     with method=dpsgd every candidate is applied, so tau = t.
     """
-    dataset, train_rows, eval_set, test_set = _load_splits(config)
-    if config.lot_size > len(train_rows):
-        raise SadpError(f"lot_size {config.lot_size} exceeds the {len(train_rows)} training rows")
-    spec = _model_spec(
-        config, dataset.dim, dataset.labels[train_rows],
-        eval_set.labels, None if test_set is None else test_set.labels,
-    )
-    # the evaluation rows live on only as the run's feature-major Batch
-    eval_batch = models.to_batch(spec, eval_set.features, eval_set.labels)
-    del eval_set, test_set
-
+    dataset, train_rows, spec, eval_batch = _prepare(config)
     q = config.lot_size / len(train_rows)
     acct = accountant.AccountantState(q, config.sigma, config.delta, config.tight_conversion)
     max_charged = None
@@ -335,7 +332,7 @@ def emit_trace(records, path) -> None:
     """One CSV row per iteration, columns in IterationRecord order."""
     lines = [",".join(TRACE_COLUMNS)]
     for r in records:
-        lines.append(",".join(f(v) for f, v in zip(_TRACE_FORMATTERS, vars(r).values())))
+        lines.append(",".join(f(v) for f, v in zip(_TRACE_FORMATTERS, r)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -348,8 +345,12 @@ def compare(configs, seeds):
     """
     if not configs or not seeds:
         raise SadpError("need at least one config and one seed")
-    # every per-seed config is checked before the first run
+    # every per-seed config, and the data each run loads, is checked before
+    # the first run
     runs = [[dataclasses.replace(config, seed=int(seed)) for seed in seeds] for config in configs]
+    for per_seed in runs:
+        for run in per_seed:
+            _prepare(run)
     summaries = []
     for i, (config, per_seed) in enumerate(zip(configs, runs)):
         finals = []   # (accuracy, loss, epsilon, epsilon_computed) per seed

@@ -390,6 +390,24 @@ def test_compare_rejects_every_bad_input_before_its_first_run(
     assert calls == []
 
 
+def test_compare_checks_every_run_before_the_first(tmp_path, capsys, monkeypatch):
+    # a lot_size above a later config's training rows needs that config's
+    # data loaded; compare loads and checks it before running the first one
+    calls, train = [], harness.train
+
+    def counted(config):
+        calls.append(config)
+        return train(config)
+
+    monkeypatch.setattr(harness, "train", counted)
+    big = (CONFIGS / "synth_linear.cfg").read_text() + "synth_n = 100\nlot_size = 512\n"
+    argv = ["compare", "--configs", str(CONFIGS / "synth_linear.cfg"),
+            str(write_cfg(tmp_path, big, name="big.cfg")), "--seeds", "0,1", "--out", str(tmp_path)]
+    assert cli.main(argv) == errors.SadpError.exit_code
+    assert capsys.readouterr().err == "error: lot_size 512 exceeds the 90 training rows\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_unusable_out_exits_4_before_its_first_run(tmp_path, capsys, monkeypatch, command):
     calls = []

@@ -180,6 +180,16 @@ class TestSynthLinear:
             synth_linear(10, np.array([1.0]), -0.1, seed=0)
 
 
+def test_synth_blobs_seeds_share_one_task():
+    # the seed draws labels and noise; the class centers are fixed, so two
+    # seeds' per-class feature means agree
+    a, b = (synth_blobs(4000, n_classes=4, dim=16, seed=seed) for seed in (1, 2))
+    for c in range(4):
+        gap = a.features[a.labels == c].mean(axis=0) - b.features[b.labels == c].mean(axis=0)
+        assert np.abs(gap).max() < 0.05
+    assert not np.array_equal(a.labels, b.labels)
+
+
 class TestSplit:
     def test_sizes_and_disjointness(self):
         train, ev = split(101, eval_fraction=0.25, seed=0)

@@ -188,7 +188,7 @@ def test_guard_finds_public_definitions_and_references():
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    # sadp/__init__.py only re-exports: an export is not a caller
+    # a re-export in sadp/__init__.py would not be a caller
     used = set().union(*(
         referenced_names(path.read_text())
         for d in CALLER_DIRS for path in sorted((REPO / d).rglob("*.py"))

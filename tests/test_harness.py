@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -284,15 +285,15 @@ def assert_trace_holds(path, records):
     for row, record in zip(rows, records):
         fields = row.split(",")
         assert len(fields) == len(TRACE_COLUMNS)
-        for text, f in zip(fields, dataclasses.fields(IterationRecord)):
-            want = getattr(record, f.name)
-            if f.type == "bool":
-                assert text == ("true" if want else "false"), f.name
-            elif f.type == "int":
-                assert int(text) == want, f.name
+        for text, (name, hint) in zip(fields, typing.get_type_hints(IterationRecord).items()):
+            want = getattr(record, name)
+            if hint is bool:
+                assert text == ("true" if want else "false"), name
+            elif hint is int:
+                assert int(text) == want, name
             else:
                 got = float(text)
-                assert got == want or (math.isnan(got) and math.isnan(want)), f.name
+                assert got == want or (math.isnan(got) and math.isnan(want)), name
 
 
 def last_row(path) -> dict[str, str]:
@@ -630,8 +631,8 @@ def run_trace_diff(a, b):
 def test_trace_diff_script_checks_decision_columns(tmp_path):
     _, _, records = train(dataclasses.replace(LINREG_CFG, max_iters=20))
     emit_trace(records, tmp_path / "a.csv")
-    emit_trace([dataclasses.replace(r, eval_loss=r.eval_loss * (1 + 4e-16)) for r in records], tmp_path / "b.csv")
-    flipped = dataclasses.replace(records[3], accepted=not records[3].accepted)
+    emit_trace([r._replace(eval_loss=r.eval_loss * (1 + 4e-16)) for r in records], tmp_path / "b.csv")
+    flipped = records[3]._replace(accepted=not records[3].accepted)
     emit_trace([*records[:3], flipped, *records[4:]], tmp_path / "c.csv")
 
     def diff(other, base="a.csv"):
