@@ -92,17 +92,11 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
     return LabeledDataset(features=pixels.reshape(n, rows * cols), labels=labels.astype(np.int64))
 
 
-def widen(features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Features as float64, uint8 pixel rows scaled to [0, 1]: an exact cast,
-    then one correctly rounded division by 255, so every element is the same
-    float whatever the layout it is written in. With `out` (any layout, e.g.
-    the transpose of a feature-major buffer) the result is written there;
-    without it uint8 rows widen into a new C-contiguous array and float
-    features pass through unchanged."""
-    if out is None:
-        if features.dtype != np.uint8:
-            return features
-        out = np.empty(features.shape)
+def widen(features: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes features into `out` (any layout, e.g. the transpose of a
+    feature-major buffer) as float64, uint8 pixel rows scaled to [0, 1]: an
+    exact cast, then one correctly rounded division by 255, so every element
+    is the same float whatever the layout it is written in. Returns `out`."""
     np.copyto(out, features)
     if features.dtype == np.uint8:
         out /= 255.0
@@ -112,7 +106,7 @@ def widen(features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def load_idx(images_path, labels_path) -> LabeledDataset:
     """Read an images/labels IDX pair into a flat [0,1]-scaled dataset."""
     pixels = read_idx(images_path, labels_path)
-    return LabeledDataset(features=widen(pixels.features), labels=pixels.labels)
+    return LabeledDataset(widen(pixels.features, np.empty(pixels.features.shape)), pixels.labels)
 
 
 def save_idx(dataset: LabeledDataset, images_path, labels_path, rows: int, cols: int):

@@ -111,6 +111,8 @@ def _parse_value(hint, text: str):
 
 
 def parse_config_text(text: str) -> TrainConfig:
+    """The config in `key = value` lines; a repeated key takes its last
+    value, and every line must parse."""
     hints = typing.get_type_hints(TrainConfig)
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -158,71 +160,52 @@ class IterationRecord(typing.NamedTuple):
 TRACE_COLUMNS = list(IterationRecord._fields)
 
 
-def _load_splits(config: TrainConfig):
-    """Returns (dataset as read, its training rows, energy-evaluation set,
-    test set). The training split is a row index into the dataset (IDX
-    pixels stay mapped bytes); only the evaluation rows are gathered, and
-    `train` lays them out feature-major."""
-    if config.dataset == "idx":
-        dataset = data.read_idx(config.idx_train_images, config.idx_train_labels)
-        test = (
-            data.read_idx(config.idx_test_images, config.idx_test_labels)
-            if config.idx_test_images
-            else None
-        )
-        if test is not None and test.dim != dataset.dim:
-            raise SadpError(
-                f"idx_test_images {config.idx_test_images} has {test.dim} features per row, "
-                f"the training images {dataset.dim}"
-            )
-    elif config.dataset == "csv":
-        dataset = data.load_csv(config.csv_path)
-    elif config.dataset == "synth_linear":
-        dataset = data.synth_linear(
-            config.synth_n, np.asarray(config.synth_weights),
-            config.synth_noise_std, config.synth_seed,
-        )
-        test = data.synth_linear(
-            max(config.synth_n // 5, 1), np.asarray(config.synth_weights),
-            config.synth_noise_std, config.synth_seed + 1,
-        )
-    else:
-        dataset = data.synth_blobs(
-            config.synth_n, config.blob_classes, config.blob_dim, config.synth_seed
-        )
-        test = data.synth_blobs(
-            max(config.synth_n // 5, 1), config.blob_classes, config.blob_dim,
-            config.synth_seed + 1,
-        )
+def _prepare(config: TrainConfig):
+    """Read, carve and check one run's data: returns (dataset as read, its
+    training rows, the ModelSpec, the energy-evaluation Batch). The training
+    split is a row index into the dataset, so IDX pixels stay mapped bytes;
+    the evaluation rows live on only as the Batch, laid out feature-major.
+    The model takes the dataset's features and the training labels; every
+    label the run reads must index its outputs, [0, training class count)."""
+    test, test_rows = None, slice(None)   # the test set and its rows, if any
     if config.dataset == "csv":
+        dataset = test = data.load_csv(config.csv_path)
         train_rows, test_rows = data.split(dataset.n, config.eval_fraction, config.seed)
-        test = _gather(dataset, test_rows)
     else:
+        if config.dataset == "idx":
+            dataset = data.read_idx(config.idx_train_images, config.idx_train_labels)
+            if config.idx_test_images:
+                test = data.read_idx(config.idx_test_images, config.idx_test_labels)
+                if test.dim != dataset.dim:
+                    raise SadpError(
+                        f"idx_test_images {config.idx_test_images} has {test.dim} features "
+                        f"per row, the training images {dataset.dim}"
+                    )
+        else:
+            # one generator draws the training set and, from the next seed,
+            # a fifth as many test rows
+            def generate(n, seed):
+                if config.dataset == "synth_linear":
+                    return data.synth_linear(
+                        n, np.asarray(config.synth_weights), config.synth_noise_std, seed
+                    )
+                return data.synth_blobs(n, config.blob_classes, config.blob_dim, seed)
+
+            dataset = generate(config.synth_n, config.synth_seed)
+            test = generate(max(config.synth_n // 5, 1), config.synth_seed + 1)
         train_rows = np.arange(dataset.n)
     if config.eval_set == "test":
         if test is None:
             raise SadpError("eval_set=test requires a test dataset")
-        eval_set = test
+        source, eval_rows = test, test_rows
     else:
         keep, held = data.split(len(train_rows), config.eval_fraction, config.seed)
-        train_rows, eval_set = train_rows[keep], _gather(dataset, train_rows[held])
-    if len(train_rows) == 0 or eval_set.n == 0:
+        train_rows, source, eval_rows = train_rows[keep], dataset, train_rows[held]
+    eval_labels = source.labels[eval_rows]
+    if len(train_rows) == 0 or len(eval_labels) == 0:
         raise SadpError(
-            f"empty split: {len(train_rows)} training and {eval_set.n} evaluation rows"
+            f"empty split: {len(train_rows)} training and {len(eval_labels)} evaluation rows"
         )
-    return dataset, train_rows, eval_set, test
-
-
-def _gather(dataset: data.LabeledDataset, rows: np.ndarray) -> data.LabeledDataset:
-    return data.LabeledDataset(dataset.features[rows], dataset.labels[rows])
-
-
-def _prepare(config: TrainConfig):
-    """Load and check one run's data: returns (dataset as read, its training
-    rows, the ModelSpec, the energy-evaluation Batch). The model takes the
-    dataset's features and the training labels; every label array must index
-    its outputs, [0, training class count)."""
-    dataset, train_rows, eval_set, test_set = _load_splits(config)
     if config.lot_size > len(train_rows):
         raise SadpError(f"lot_size {config.lot_size} exceeds the {len(train_rows)} training rows")
     if dataset.dim < 1:
@@ -238,13 +221,14 @@ def _prepare(config: TrainConfig):
             config.model, dataset.dim, int(train_labels.max()) + 1,
             layer_widths=tuple(config.layer_widths), activation=config.activation,
         )
-        for labels in (train_labels, eval_set.labels, None if test_set is None else test_set.labels):
+        # every row read: the dataset's (training, evaluation and carved test
+        # rows) and the test set's
+        for labels in (dataset.labels, None if test is None else test.labels):
             if labels is not None and np.any((labels < 0) | (labels >= spec.output_dim)):
                 raise SadpError(
                     f"class labels must lie in [0, {spec.output_dim}), the training set's range"
                 )
-    # the evaluation rows live on only as the run's feature-major Batch
-    return dataset, train_rows, spec, models.to_batch(spec, eval_set.features, eval_set.labels)
+    return dataset, train_rows, spec, models.to_batch(spec, source.features[eval_rows], eval_labels)
 
 
 def train(config: TrainConfig):

@@ -266,7 +266,7 @@ def test_09_desk_scale_utility_ordering(tmp_path):
         eval_set="test", lot_size=128, sigma=1.23, delta=1e-5, eps_budget=3.0,
         eta=0.5, clip_norm=0.1, q0=10.0, mu0=10,
     )
-    result, counts = {}, {}
+    result, counts, per_seed = {}, {}, {}
     for method in ("sa_dpsgd", "dpsgd"):
         accs, epss = [], []
         for seed in range(5):
@@ -277,12 +277,15 @@ def test_09_desk_scale_utility_ordering(tmp_path):
             counts.setdefault(method, []).append(run_counts(records))
             epss.append(spend_.epsilon)
         result[method] = (statistics.fmean(accs), max(epss))
+        per_seed[method] = " ".join(f"{a:.4f}" for a in accs)
     assert result["sa_dpsgd"][0] >= result["dpsgd"][0]
     assert result["sa_dpsgd"][1] <= 3.0
     assert result["dpsgd"][1] <= 3.0
     report(9, time.perf_counter() - start, 900.0,
            f"[{source}] mean test acc sa_dpsgd {result['sa_dpsgd'][0]:.4f} "
-           f">= dpsgd {result['dpsgd'][0]:.4f}; eps <= 3.0 for both; {mean_counts(counts)}")
+           f">= dpsgd {result['dpsgd'][0]:.4f}; eps <= 3.0 for both; "
+           f"per-seed test acc sa_dpsgd [{per_seed['sa_dpsgd']}], dpsgd [{per_seed['dpsgd']}]; "
+           f"{mean_counts(counts)}")
 
 
 def test_10_reproducibility(tmp_path):

@@ -267,8 +267,11 @@ def test_dataset_invariants():
 
 def test_widen_scales_bytes_and_passes_floats_through():
     pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)[::2]
-    wide = widen(pixels)
+    out = np.empty(pixels.shape)
+    wide = widen(pixels, out)
+    assert wide is out
     assert wide.dtype == np.float64 and wide.flags.c_contiguous
     np.testing.assert_array_equal(wide, pixels / 255.0)
+    # float features are written into the buffer unscaled
     floats = np.linspace(0.0, 1.0, 12).reshape(3, 4)
-    assert widen(floats) is floats
+    assert widen(floats, np.empty(floats.shape)).tobytes() == floats.tobytes()

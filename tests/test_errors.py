@@ -1,8 +1,9 @@
 """The error hierarchy: one class per exit code, each a ValueError, which
 `cli.main` maps to that code; sadp code raises no builtin exception and
 defines no exception class outside `sadp.errors`, and raises each message
-from one site. And a guard against code only tests reach: every public
-function or class of sadp has a caller outside `tests/`."""
+from one site. And guards against code only tests reach: every public
+function or class of sadp has a caller outside `tests/`, and every private
+module-level function has one inside `sadp`."""
 
 import ast
 import builtins
@@ -161,11 +162,11 @@ def public_definitions(source: str) -> list[str]:
     ]
 
 
-def referenced_names(source: str) -> set[str]:
-    """Every name a module's code reads, by name, as an attribute or in an
-    import; a definition's own name and the text of strings do not count."""
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name a parsed module or node reads, by name, as an attribute or
+    in an import; a definition's own name and the text of strings do not count."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -184,15 +185,43 @@ def test_guard_finds_public_definitions_and_references():
         "def _private(): return 'quoted'\n"
     )
     assert public_definitions(source) == ["f", "K"]
-    assert referenced_names(source) == {"numpy.random", "b", "Spec", "g", "x", "h"}
+    assert referenced_names(ast.parse(source)) == {"numpy.random", "b", "Spec", "g", "x", "h"}
 
 
 def test_every_public_name_has_a_caller_outside_tests():
     # a re-export in sadp/__init__.py would not be a caller
     used = set().union(*(
-        referenced_names(path.read_text())
+        referenced_names(ast.parse(path.read_text()))
         for d in CALLER_DIRS for path in sorted((REPO / d).rglob("*.py"))
         if path != SRC / "__init__.py"
     ))
     public = {name for path in SRC.glob("*.py") for name in public_definitions(path.read_text())}
     assert sorted(public - used) == sorted(ORACLES)
+
+
+def uncalled_private_functions(sources: list[str]) -> list[str]:
+    """The module-level `_name` functions the sources define that no code
+    in them reads outside the function's own body."""
+    defined, used = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            names = referenced_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+                defined.add(node.name)
+                names.discard(node.name)
+            used |= names
+    return sorted(defined - used)
+
+
+def test_guard_finds_uncalled_private_functions():
+    sources = [
+        "def _called(): pass\ndef _recursive(n): return _recursive(n - 1)\ndef _unused(): pass\n",
+        "from .a import _imported\nTABLE = [_called]\ndef _imported(): pass\n",
+    ]
+    assert uncalled_private_functions(sources) == ["_recursive", "_unused"]
+
+
+def test_every_private_function_has_a_caller_in_sadp():
+    # a test's call does not count: the private names are sadp's own
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert uncalled_private_functions(sources) == []

@@ -87,6 +87,18 @@ class TestConfigParsing:
         assert cfg.eta == 1.5
         assert cfg.mu0 == 5
 
+    def test_repeated_key_takes_its_last_value(self):
+        cfg = parse_config_text("eta = 1.5\nmu0 = 5\neta = 0.25\n")
+        assert (cfg.eta, cfg.mu0) == (0.25, 5)
+        # a later value is parsed, and checked, as the only one
+        cfg = parse_config_text("eps_budget = 3.0\neps_budget = none\n")
+        assert cfg.eps_budget is None
+        with pytest.raises(SadpError, match=r"^mu0 must be >= 1$"):
+            parse_config_text("mu0 = 5\nmu0 = 0\n")
+        # an overridden value must still parse
+        with pytest.raises(SadpError, match=r"^line 1: bad value for eta: 'fast'$"):
+            parse_config_text("eta = fast\neta = 1.5\n")
+
     @pytest.mark.parametrize("text", list(BAD_CONFIGS))
     def test_bad_configs_rejected(self, text):
         with pytest.raises(SadpError, match=BAD_CONFIGS[text]):
@@ -111,19 +123,18 @@ class TestTrain:
     def test_near_noiseless_convex_run_approaches_optimum(self):
         # cold chain (large q0) so worsening moves are rejected outright;
         # large n keeps the train/eval generalization gap well below 1%
-        from sadp.harness import _load_splits
-
         for seed in range(3):
             cfg = dataclasses.replace(
                 LINREG_CFG, sigma=1e-12, clip_norm=10.0, max_iters=400,
                 synth_n=10_000, lot_size=100, q0=1000.0, seed=seed,
             )
             _, _, records = train(cfg)
-            # least-squares optimum of the energy-evaluation split
-            _, _, eval_set, _ = _load_splits(cfg)
-            A = np.hstack([eval_set.features, np.ones((eval_set.n, 1))])
-            w_star, *_ = np.linalg.lstsq(A, eval_set.labels, rcond=None)
-            opt = float(np.mean(0.5 * (A @ w_star - eval_set.labels) ** 2))
+            # least-squares optimum of the energy-evaluation split: its
+            # Batch inputs are the features over a row of ones
+            batch = harness._prepare(cfg)[3]
+            A = batch.inputs.T
+            w_star, *_ = np.linalg.lstsq(A, batch.targets, rcond=None)
+            opt = float(np.mean(0.5 * (A @ w_star - batch.targets) ** 2))
             assert records[-1].eval_loss <= opt * 1.01
 
     def test_accepted_energy_monotone_except_risky_acceptances(self):
@@ -430,21 +441,34 @@ def assert_same_rows(got, want):
 
 
 def widened(dataset):
-    return data.LabeledDataset(data.widen(dataset.features), dataset.labels)
+    features = dataset.features
+    return data.LabeledDataset(data.widen(features, np.empty(features.shape)), dataset.labels)
 
 
 def rows_of(dataset, idx):
     return data.LabeledDataset(dataset.features[idx], dataset.labels[idx])
 
 
-def assert_widens_to(rows, floats):
-    """Byte rows laid out as model inputs are bitwise the float rows,
-    transposed, over a last row of ones."""
-    spec = models.ModelSpec("softmax_regression", rows.dim, 10)
-    inputs = models.to_batch(spec, rows.features, rows.labels).inputs
+def assert_batch_holds(batch, floats):
+    """Batch inputs are bitwise the float rows, transposed, over a last row
+    of ones; its targets are their labels."""
+    inputs = batch.inputs
     assert inputs.dtype == np.float64 and inputs.flags.c_contiguous
+    assert inputs[:-1].shape == floats.features.T.shape
     assert inputs[:-1].tobytes() == np.ascontiguousarray(floats.features.T).tobytes()
     assert (inputs[-1] == 1.0).all()
+    np.testing.assert_array_equal(batch.targets, floats.labels)
+
+
+def assert_widens_to(rows, floats):
+    """Byte rows laid out as model inputs are bitwise the float rows."""
+    spec = models.ModelSpec("softmax_regression", rows.dim, 10)
+    assert_batch_holds(models.to_batch(spec, rows.features, rows.labels), floats)
+
+
+# a regression model takes any integer labels as targets, so a split's
+# evaluation rows need no label in the training rows' class range
+SPLIT_CFG = TrainConfig(dataset="idx", model="linear_regression", lot_size=1)
 
 
 class TestIdxSplits:
@@ -453,12 +477,14 @@ class TestIdxSplits:
     )
     def test_held_out_training_rows_stay_bytes(self, tmp_path, n, eval_fraction, seed):
         images, labels = write_random_idx(tmp_path / "train", n, 12, seed)
-        cfg = TrainConfig(
-            dataset="idx", idx_train_images=images, idx_train_labels=labels,
+        cfg = dataclasses.replace(
+            SPLIT_CFG, idx_train_images=images, idx_train_labels=labels,
             eval_fraction=eval_fraction, seed=seed,
         )
-        dataset, train_rows, eval_set, test_set = harness._load_splits(cfg)
-        assert test_set is None
+        dataset, train_rows, _, batch = harness._prepare(cfg)
+        # no test pair is read
+        with pytest.raises(SadpError, match=r"^eval_set=test requires a test dataset$"):
+            harness._prepare(dataclasses.replace(cfg, eval_set="test"))
         # the training split is a row index into the mapped bytes as read
         assert not dataset.features.flags.writeable
         assert_same_rows(dataset, data.read_idx(images, labels))
@@ -466,64 +492,65 @@ class TestIdxSplits:
         n_eval = int(n * eval_fraction)
         np.testing.assert_array_equal(train_rows, perm[n_eval:])
         train_set = rows_of(dataset, train_rows)
-        byte_train, byte_eval = rows_of(dataset, perm[n_eval:]), rows_of(dataset, perm[:n_eval])
+        assert_same_rows(train_set, rows_of(dataset, perm[n_eval:]))
         floats = data.load_idx(images, labels)
         float_train, float_eval = rows_of(floats, perm[n_eval:]), rows_of(floats, perm[:n_eval])
-        assert_same_rows(train_set, byte_train)
-        assert_same_rows(eval_set, byte_eval)
-        assert_widens_to(eval_set, float_eval)
+        # the evaluation rows are the held-out byte rows, widened once into the Batch
+        assert_batch_holds(batch, float_eval)
         # all rows, a Poisson batch and an empty batch widen to the float rows
         rng = np.random.default_rng(seed)
-        batch = data.poisson_sample(train_set.n, 0.3, rng)
-        for idx in (np.arange(train_set.n), batch, np.array([], dtype=np.intp)):
-            assert_same_rows(
-                data.LabeledDataset(data.widen(train_set.features[idx]), train_set.labels[idx]),
-                data.LabeledDataset(float_train.features[idx], float_train.labels[idx]),
-            )
-            assert_widens_to(
-                data.LabeledDataset(train_set.features[idx], train_set.labels[idx]),
-                data.LabeledDataset(float_train.features[idx], float_train.labels[idx]),
-            )
+        sample = data.poisson_sample(train_set.n, 0.3, rng)
+        for idx in (np.arange(train_set.n), sample, np.array([], dtype=np.intp)):
+            assert_same_rows(widened(rows_of(train_set, idx)), rows_of(float_train, idx))
+            assert_widens_to(rows_of(train_set, idx), rows_of(float_train, idx))
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_test_split_is_widened_only_as_the_eval_set(self, tmp_path, seed):
+    def test_test_split_is_widened_only_as_the_eval_set(self, tmp_path, monkeypatch, seed):
         train_files = write_random_idx(tmp_path / "train", 50, 12, seed)
         test_files = write_random_idx(tmp_path / "test", 20, 12, seed + 1)
-        paths = dict(
+        cfg = dataclasses.replace(
+            SPLIT_CFG, seed=seed,
             idx_train_images=train_files[0], idx_train_labels=train_files[1],
             idx_test_images=test_files[0], idx_test_labels=test_files[1],
         )
-        dataset, train_rows, eval_set, test_set = harness._load_splits(
-            TrainConfig(dataset="idx", eval_set="test", seed=seed, **paths)
-        )
+        train_bytes, train_floats = data.read_idx(*train_files), data.load_idx(*train_files)
+        test_floats = data.load_idx(*test_files)
+        read_idx, reads = data.read_idx, []
+
+        def recorded(*paths):
+            reads.append(paths)
+            return read_idx(*paths)
+
+        monkeypatch.setattr(data, "read_idx", recorded)
+        dataset, train_rows, _, batch = harness._prepare(dataclasses.replace(cfg, eval_set="test"))
+        assert reads == [train_files, test_files]
         np.testing.assert_array_equal(train_rows, np.arange(50))
         train_set = rows_of(dataset, train_rows)
-        assert_same_rows(train_set, data.read_idx(*train_files))
-        assert_same_rows(widened(train_set), data.load_idx(*train_files))
-        assert_same_rows(eval_set, data.read_idx(*test_files))
-        assert_widens_to(eval_set, data.load_idx(*test_files))
-        assert_same_rows(test_set, data.read_idx(*test_files))
-        # with a held-out split the test pair is never widened
-        _, _, eval_set, test_set = harness._load_splits(
-            TrainConfig(dataset="idx", eval_set="held_out", seed=seed, **paths)
-        )
-        assert eval_set.n == 5
-        assert_same_rows(test_set, data.read_idx(*test_files))
+        assert_same_rows(train_set, train_bytes)
+        assert_same_rows(widened(train_set), train_floats)
+        assert_batch_holds(batch, test_floats)
+        # with a held-out split the test pair is read but never widened: the
+        # Batch holds the held-out training rows
+        reads.clear()
+        _, _, _, batch = harness._prepare(dataclasses.replace(cfg, eval_set="held_out"))
+        assert reads == [train_files, test_files]
+        held = np.random.default_rng(seed).permutation(50)[:5]
+        assert_batch_holds(batch, rows_of(train_floats, held))
 
     def test_held_out_split_never_holds_the_full_float_matrix(self, tmp_path):
         # numpy reports its buffers to tracemalloc; the mapped bytes are not
-        # allocated, the row indices take 8 bytes a row, and the gathered
-        # eval rows are 0.0125x the float64 matrix
+        # allocated, the row indices take 8 bytes a row, and the evaluation
+        # Batch, with the byte rows gathered for it, is 0.11x the float64 matrix
         n, dim = 20_000, 784
         images, labels = write_random_idx(tmp_path / "train", n, dim, 0)
         cfg = TrainConfig(dataset="idx", idx_train_images=images, idx_train_labels=labels)
         tracemalloc.start()
         try:
-            _, train_rows, eval_set, _ = harness._load_splits(cfg)
+            _, train_rows, _, batch = harness._prepare(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(train_rows) + eval_set.n == n
+        assert len(train_rows) + len(batch) == n
         assert peak < 0.5 * n * dim * 8
 
     def test_training_never_holds_a_float_training_matrix(self, tmp_path):
@@ -601,18 +628,18 @@ class TestMappedIndexExactness:
             "eps_budget = none\nmax_iters = 80\nseed = 3\n" + extra
         )
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "mapped")]) == 0
-        read_idx, load_splits = data.read_idx, harness._load_splits
+        read_idx, prepare = data.read_idx, harness._prepare
 
         def in_memory(*paths):
             ds = read_idx(*paths)
             return data.LabeledDataset(np.array(ds.features), ds.labels)
 
         def copied_out(config):
-            dataset, train_rows, eval_set, test_set = load_splits(config)
-            return rows_of(dataset, train_rows), np.arange(len(train_rows)), eval_set, test_set
+            dataset, train_rows, spec, eval_batch = prepare(config)
+            return rows_of(dataset, train_rows), np.arange(len(train_rows)), spec, eval_batch
 
         monkeypatch.setattr(data, "read_idx", in_memory)
-        monkeypatch.setattr(harness, "_load_splits", copied_out)
+        monkeypatch.setattr(harness, "_prepare", copied_out)
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "copied")]) == 0
         for name in ("trace.csv", "final.params"):
             got = (tmp_path / "mapped" / name).read_bytes()
