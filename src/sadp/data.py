@@ -9,8 +9,8 @@ IDX pixels are mapped read-only from the file as bytes, so an input file
 must not change while a run uses it. `load_idx` widens them to float64 in
 [0, 1] at once; a training run keeps them mapped, `split` carves row indices
 rather than copies, and `models.to_batch` widens the energy-evaluation rows
-(once) and each Poisson batch straight into their feature-major model
-inputs, so no copy of the training matrix is ever built.
+(once, to float32) and each Poisson batch (to float64) straight into their
+feature-major model inputs, so no copy of the training matrix is ever built.
 """
 
 from __future__ import annotations
@@ -94,9 +94,11 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
 
 def widen(features: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Writes features into `out` (any layout, e.g. the transpose of a
-    feature-major buffer) as float64, uint8 pixel rows scaled to [0, 1]: an
-    exact cast, then one correctly rounded division by 255, so every element
-    is the same float whatever the layout it is written in. Returns `out`."""
+    feature-major buffer) in its float dtype, uint8 pixel rows scaled to
+    [0, 1]: an exact cast, then one correctly rounded division by 255, so
+    every element is the same float whatever the layout it is written in. A
+    float32 `out` holds, for every byte, the float64 result rounded to
+    float32. Returns `out`."""
     np.copyto(out, features)
     if features.dtype == np.uint8:
         out /= 255.0

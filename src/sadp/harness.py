@@ -164,7 +164,9 @@ def _prepare(config: TrainConfig):
     """Read, carve and check one run's data: returns (dataset as read, its
     training rows, the ModelSpec, the energy-evaluation Batch). The training
     split is a row index into the dataset, so IDX pixels stay mapped bytes;
-    the evaluation rows live on only as the Batch, laid out feature-major.
+    the evaluation rows live on only as the Batch, laid out feature-major in
+    float32 (float64 if a feature lies beyond float32's range), so the
+    screening energy is float32 GEMMs under a float64 loss.
     The model takes the dataset's features and the training labels; every
     label the run reads must index its outputs, [0, training class count)."""
     test, test_rows = None, slice(None)   # the test set and its rows, if any
@@ -228,7 +230,12 @@ def _prepare(config: TrainConfig):
                 raise SadpError(
                     f"class labels must lie in [0, {spec.output_dim}), the training set's range"
                 )
-    return dataset, train_rows, spec, models.to_batch(spec, source.features[eval_rows], eval_labels)
+    eval_features = source.features[eval_rows]
+    fits = eval_features.dtype.kind in "iu" or np.finfo(np.float32).max >= max(
+        eval_features.max(initial=0.0), -eval_features.min(initial=0.0)
+    )
+    dtype = np.float32 if fits else np.float64
+    return dataset, train_rows, spec, models.to_batch(spec, eval_features, eval_labels, dtype)
 
 
 def train(config: TrainConfig):

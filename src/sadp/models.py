@@ -7,11 +7,13 @@ what the privatized optimizer consumes; a layer's slice reshaped to
 (fan_in + 1, fan_out) is [W; b], a view.
 
 Activations are feature-major with the bias folded in: every layer input is
-a C-contiguous (fan_in + 1, n) float64 matrix whose last row is ones, so a
-layer is one GEMM [W; b].T @ [h; 1]. A Batch holds the first such input
-(built by to_batch) with the labels' gather index. Backprop yields each
-layer's input and output gradient; the outer product of their i-th columns
-is example i's [W; b] gradient.
+a C-contiguous (fan_in + 1, n) matrix whose last row is ones, so a layer is
+one GEMM [W; b].T @ [h; 1]. A Batch holds the first such input (built by
+to_batch) with the labels' gather index. The forward pass runs in the
+Batch's dtype: float64 for the gradient path, float32 for a run's energy
+evaluation, whose loss is still float64. Backprop yields each layer's input
+and output gradient; the outer product of their i-th columns is example i's
+[W; b] gradient.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -102,10 +104,10 @@ def _weights(spec: ModelSpec, w: np.ndarray) -> list[np.ndarray]:
 class Batch:
     """n examples laid out for the forward pass.
 
-    inputs is (input_dim + 1, n) float64, C-contiguous, its last row ones;
-    targets are float regression targets or intp class labels, (n,); picks
-    are the flat indices labels * n + arange(n) of each example's label in
-    C-contiguous (k, n) outputs (classification only).
+    inputs is (input_dim + 1, n) float64 or float32, C-contiguous, its last
+    row ones; targets are float regression targets or intp class labels,
+    (n,); picks are the flat indices labels * n + arange(n) of each
+    example's label in C-contiguous (k, n) outputs (classification only).
     """
 
     inputs: np.ndarray
@@ -116,11 +118,12 @@ class Batch:
         return self.inputs.shape[1]
 
 
-def to_batch(spec: ModelSpec, X, y) -> Batch:
-    """A Batch of a LabeledDataset's (n, input_dim) features X and targets y;
-    uint8 pixel rows are widened to [0, 1] straight into the inputs."""
+def to_batch(spec: ModelSpec, X, y, dtype=np.float64) -> Batch:
+    """A Batch of a LabeledDataset's (n, input_dim) features X and targets y,
+    its inputs of `dtype`; uint8 pixel rows are widened to [0, 1] straight
+    into the inputs."""
     X, y = np.asarray(X), np.asarray(y)
-    inputs = np.empty((spec.input_dim + 1, len(X)))
+    inputs = np.empty((spec.input_dim + 1, len(X)), dtype=dtype)
     data.widen(X, out=inputs[:-1].T)
     inputs[-1] = 1.0
     if spec.architecture == LINEAR_REGRESSION:
@@ -130,14 +133,15 @@ def to_batch(spec: ModelSpec, X, y) -> Batch:
 
 
 def _forward(spec: ModelSpec, w: np.ndarray, h: np.ndarray):
-    """(outputs (k, n), layer inputs [(fan_in + 1, n), ...], [W; b] views) of
-    a batch's inputs h: each layer is one GEMM [W; b].T @ [h; 1], written for
-    a hidden layer into a fresh input whose last row is ones, then activated
-    in place."""
-    layers = _weights(spec, w)
+    """(outputs (k, n), layer inputs [(fan_in + 1, n), ...], [W; b]) of a
+    batch's inputs h, all in h's dtype (the [W; b] of float64 inputs are
+    views): each layer is one GEMM [W; b].T @ [h; 1], written for a hidden
+    layer into a fresh input whose last row is ones, then activated in
+    place."""
+    layers = [Wb.astype(h.dtype, copy=False) for Wb in _weights(spec, w)]
     inputs = [h]
     for Wb in layers[:-1]:
-        h = np.empty((Wb.shape[1] + 1, h.shape[1]))
+        h = np.empty((Wb.shape[1] + 1, h.shape[1]), dtype=h.dtype)
         h[-1] = 1.0
         a = np.matmul(Wb.T, inputs[-1], out=h[:-1])
         if spec.activation == BOUNDED_TANH:
@@ -209,10 +213,19 @@ def per_example_losses_grads(
 
 
 def evaluate(spec: ModelSpec, w: np.ndarray, batch: Batch) -> tuple[float, float | None]:
-    """(mean loss, accuracy) on a non-empty Batch; accuracy None for regression."""
-    out, _, _ = _forward(spec, w, batch.inputs)
-    losses, top = _losses(spec, out, batch)
-    loss = float(np.mean(losses))
+    """(mean loss, accuracy) on a non-empty Batch; accuracy None for regression.
+
+    The GEMMs run in the Batch's dtype, the loss on their outputs widened to
+    float64. A float32 Batch whose loss is not finite (an overflow float64
+    may not have) is evaluated again in float64 from the same inputs."""
+    exact = batch.inputs.dtype == np.float64
+    quiet = None if exact else "ignore"       # None leaves the caller's setting
+    with np.errstate(over=quiet, invalid=quiet):
+        out = _forward(spec, w, batch.inputs)[0].astype(np.float64, copy=False)
+        losses, top = _losses(spec, out, batch)
+        loss = float(np.mean(losses))
+    if not (exact or math.isfinite(loss)):
+        return evaluate(spec, w, replace(batch, inputs=batch.inputs.astype(np.float64)))
     if top is None:
         return loss, None
     correct = top.reshape(-1)[batch.picks]

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import operator
 import os
 import pathlib
 import re
@@ -449,13 +450,13 @@ def rows_of(dataset, idx):
     return data.LabeledDataset(dataset.features[idx], dataset.labels[idx])
 
 
-def assert_batch_holds(batch, floats):
-    """Batch inputs are bitwise the float rows, transposed, over a last row
-    of ones; its targets are their labels."""
+def assert_batch_holds(batch, floats, dtype=np.float64):
+    """Batch inputs of `dtype` are bitwise the float rows cast to it,
+    transposed, over a last row of ones; its targets are their labels."""
     inputs = batch.inputs
-    assert inputs.dtype == np.float64 and inputs.flags.c_contiguous
+    assert inputs.dtype == dtype and inputs.flags.c_contiguous
     assert inputs[:-1].shape == floats.features.T.shape
-    assert inputs[:-1].tobytes() == np.ascontiguousarray(floats.features.T).tobytes()
+    assert inputs[:-1].tobytes() == np.ascontiguousarray(floats.features.T.astype(dtype)).tobytes()
     assert (inputs[-1] == 1.0).all()
     np.testing.assert_array_equal(batch.targets, floats.labels)
 
@@ -495,8 +496,9 @@ class TestIdxSplits:
         assert_same_rows(train_set, rows_of(dataset, perm[n_eval:]))
         floats = data.load_idx(images, labels)
         float_train, float_eval = rows_of(floats, perm[n_eval:]), rows_of(floats, perm[:n_eval])
-        # the evaluation rows are the held-out byte rows, widened once into the Batch
-        assert_batch_holds(batch, float_eval)
+        # the evaluation rows are the held-out byte rows, widened once into
+        # the float32 Batch: bitwise the float64 rows rounded to float32
+        assert_batch_holds(batch, float_eval, np.float32)
         # all rows, a Poisson batch and an empty batch widen to the float rows
         rng = np.random.default_rng(seed)
         sample = data.poisson_sample(train_set.n, 0.3, rng)
@@ -528,19 +530,20 @@ class TestIdxSplits:
         train_set = rows_of(dataset, train_rows)
         assert_same_rows(train_set, train_bytes)
         assert_same_rows(widened(train_set), train_floats)
-        assert_batch_holds(batch, test_floats)
+        assert_batch_holds(batch, test_floats, np.float32)
         # with a held-out split the test pair is read but never widened: the
         # Batch holds the held-out training rows
         reads.clear()
         _, _, _, batch = harness._prepare(dataclasses.replace(cfg, eval_set="held_out"))
         assert reads == [train_files, test_files]
         held = np.random.default_rng(seed).permutation(50)[:5]
-        assert_batch_holds(batch, rows_of(train_floats, held))
+        assert_batch_holds(batch, rows_of(train_floats, held), np.float32)
 
     def test_held_out_split_never_holds_the_full_float_matrix(self, tmp_path):
         # numpy reports its buffers to tracemalloc; the mapped bytes are not
         # allocated, the row indices take 8 bytes a row, and the evaluation
-        # Batch, with the byte rows gathered for it, is 0.11x the float64 matrix
+        # float32 Batch, with the byte rows gathered for it, is 0.07x the
+        # float64 matrix
         n, dim = 20_000, 784
         images, labels = write_random_idx(tmp_path / "train", n, dim, 0)
         cfg = TrainConfig(dataset="idx", idx_train_images=images, idx_train_labels=labels)
@@ -646,6 +649,55 @@ class TestMappedIndexExactness:
             assert got == (tmp_path / "copied" / name).read_bytes()
         last = last_row(tmp_path / "mapped" / "trace.csv")
         assert 0 < int(last["tau"]) < int(last["t"]) == 80
+
+
+class TestFloat32Screening:
+    """A run screened on its float32 evaluation Batch makes every decision
+    the same run screened on a float64 Batch makes, and ends at the same
+    parameters: only the energy's last digits move."""
+
+    @pytest.mark.parametrize("dataset", ["synth_blobs", "idx"])
+    def test_decisions_and_parameters_match_float64_screening(self, tmp_path, monkeypatch, dataset):
+        if dataset == "idx":
+            images, labels = tmp_path / "images", tmp_path / "labels"
+            data.save_idx(data.synth_blobs(800, 10, 49, 1), images, labels, 7, 7)
+            run = (f"dataset = idx\nidx_train_images = {images}\nidx_train_labels = {labels}\n"
+                   "model = softmax_regression\nseed = 2\n")
+        else:
+            run = "dataset = synth_blobs\nsynth_n = 1000\nblob_dim = 49\nmodel = mlp\nlayer_widths = 16\nseed = 1\n"
+        cfg = parse_config_text(
+            run + "lot_size = 64\neta = 2.0\nclip_norm = 0.5\nsigma = 0.8\n"
+            "eps_budget = none\nmax_iters = 400\n"
+        )
+        w32, _, screened32 = train(cfg)
+        to_batch, dtypes = models.to_batch, []
+
+        def float64_batch(spec, X, y, dtype=np.float64):
+            dtypes.append(dtype)
+            return to_batch(spec, X, y)
+
+        monkeypatch.setattr(models, "to_batch", float64_batch)
+        w64, _, screened64 = train(cfg)
+        assert dtypes[0] == np.float32             # the evaluation Batch, made float64
+        chain = operator.attrgetter("t", "tau", "mu", "accepted", "forced")
+        assert list(map(chain, screened32)) == list(map(chain, screened64))
+        assert w32.tobytes() == w64.tobytes()
+        for a, b in zip(screened32, screened64):
+            assert a.eval_loss == pytest.approx(b.eval_loss, rel=1e-6, abs=0)
+        # the run screened candidates: some accepted, some rejected
+        assert 0 < screened32[-1].tau < screened32[-1].t == 400
+
+    def test_features_past_float32_range_are_screened_in_float64(self, tmp_path):
+        # a float32 batch would hold inf for 1e39; the run keeps float64
+        rng = np.random.default_rng(11)
+        table = np.column_stack([rng.normal(size=(100, 3)), rng.integers(0, 2, 100)])
+        table[:, 0] *= 1e39
+        np.savetxt(tmp_path / "table.csv", table, delimiter=",")
+        cfg = TrainConfig(dataset="csv", csv_path=str(tmp_path / "table.csv"), lot_size=8)
+        assert harness._prepare(cfg)[3].inputs.dtype == np.float64
+        table[:, 0] /= 1e10
+        np.savetxt(tmp_path / "table.csv", table, delimiter=",")
+        assert harness._prepare(cfg)[3].inputs.dtype == np.float32
 
 
 def run_trace_diff(a, b):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from sadp import models
+from sadp import data, models
 from sadp.dp_optimizer import ClipPolicy, clipped_grad_sum
 from sadp.models import (
     BOUNDED_TANH,
@@ -278,6 +278,69 @@ class TestFusedEvaluate:
             want = mpmath.fsum((p - t) ** 2 / 2 for p, t in zip(preds, y.tolist())) / len(y)
         assert acc is None
         assert loss == pytest.approx(float(want), rel=1e-12, abs=0)
+
+
+class TestFloat32Energy:
+    """A float32 Batch runs the forward GEMMs in float32 and the loss in
+    float64; a loss float32 alone makes non-finite is evaluated in float64."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.architecture}-{s.activation}")
+    def test_float32_batch_agrees_with_float64_batch(self, spec):
+        rng = np.random.default_rng(23)
+        w = init_params(spec, rng) + rng.normal(scale=0.3, size=spec.n_params)
+        X = rng.random((200, spec.input_dim))
+        if spec.architecture == "linear_regression":
+            y = rng.normal(size=200)
+        else:
+            y = rng.integers(spec.output_dim, size=200)
+        batch32 = to_batch(spec, X, y, np.float32)
+        assert batch32.inputs.dtype == np.float32
+        _, inputs, _ = models._forward(spec, w, batch32.inputs)
+        assert all(h.dtype == np.float32 for h in inputs)
+        loss32, acc32 = evaluate(spec, w, batch32)
+        loss64, acc64 = evaluate(spec, w, to_batch(spec, X, y))
+        assert type(loss32) is float
+        assert loss32 == pytest.approx(loss64, rel=1e-6, abs=0)
+        assert acc32 == acc64
+
+    @pytest.mark.parametrize("spec, weight", [
+        (SOFTMAX2, 1e39),                                                  # inf in float32
+        (ModelSpec("mlp", 5, 3, layer_widths=(8,), activation=RECTIFIER), 1e39),
+        (SOFTMAX2, 3e38),                                                  # finite, logits overflow
+    ], ids=["softmax-1e39", "relu-mlp-1e39", "softmax-3e38"])
+    def test_float32_overflow_is_evaluated_in_float64(self, spec, weight):
+        rng = np.random.default_rng(24)
+        w = np.full(spec.n_params, weight)
+        X = rng.random((20, spec.input_dim))
+        X[:, 0] = 0.0                        # inf * 0 is NaN in float32
+        y = rng.integers(spec.output_dim, size=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out32 = models._forward(spec, w, to_batch(spec, X, y, np.float32).inputs)[0]
+        assert not np.isfinite(out32).all()
+        # the float64 result on the same (float32) inputs, with no warning
+        want = evaluate(spec, w, to_batch(spec, X.astype(np.float32).astype(np.float64), y))
+        got = evaluate(spec, w, to_batch(spec, X, y, np.float32))
+        assert got == want and math.isfinite(got[0])
+
+    def test_non_finite_float64_energy_and_capped_loss_are_kept(self):
+        X = np.ones((4, 3))
+        with np.errstate(over="ignore"):
+            assert evaluate(LINREG, np.full(4, 1e200), to_batch(LINREG, X, np.zeros(4), np.float32)) == (
+                math.inf, None
+            )
+        spec, w = logit_model(3)
+        far = np.array([[0.0, -800.0, 5.0]])
+        loss, acc = evaluate(spec, w, to_batch(spec, far, np.array([1]), np.float32))
+        assert loss == -math.log(1e-300) and acc == 0.0
+
+    def test_every_byte_widens_to_the_float64_widening_rounded(self):
+        pixels = np.arange(256, dtype=np.uint8).reshape(1, 256)
+        want = data.widen(pixels, np.empty((1, 256))).astype(np.float32)
+        got = data.widen(pixels, np.empty((1, 256), dtype=np.float32))
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        spec = ModelSpec("softmax_regression", 256, 2)
+        inputs = to_batch(spec, pixels, np.zeros(1, int), np.float32).inputs
+        assert inputs[:-1, 0].tobytes() == want[0].tobytes()
 
 
 class TestPacking:
