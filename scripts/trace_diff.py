@@ -2,13 +2,14 @@
 
     python scripts/trace_diff.py A.csv B.csv | RUN_A RUN_B
 
-The decision columns (t, tau, mu, accepted, forced, eval_accuracy,
-epsilon_so_far) must be identical as text; every float column's largest
-relative difference is printed. Given two run directories (each the
-`--out` of `sadp train`), it compares their trace.csv files the same way,
-then their final.params: byte-equal, or else the largest relative
-difference of the parameters. Each final.params is read by
-`sadp.models.load_checkpoint`, from this checkout's src/. Exits 1 if a
+The decision columns (t, tau, mu, accepted, forced, epsilon_so_far) must
+be identical as text; every float column's largest relative difference is
+printed, eval_accuracy's too: an accuracy is an output, not a decision.
+Given two run directories (each the `--out` of `sadp train`), it compares
+their trace.csv files the same way, then their final.params: byte-equal,
+or else the largest relative difference of the parameters. Each
+final.params is read by `sadp.models.load_checkpoint`, from this
+checkout's src/. Exits 1 if a
 decision column differs, the row counts differ or the parameter counts
 differ; 2 on a usage error, or with one `error:` line naming the file (and
 line) when a file cannot be read, a trace is not UTF-8, lacks the header of
@@ -31,7 +32,7 @@ from sadp import models
 from sadp.errors import DataFileError
 from sadp.harness import TRACE_COLUMNS, IterationRecord
 
-IDENTICAL = ("t", "tau", "mu", "accepted", "forced", "eval_accuracy", "epsilon_so_far")
+IDENTICAL = ("t", "tau", "mu", "accepted", "forced", "epsilon_so_far")
 # each column's type, as IterationRecord declares it
 _TYPES = typing.get_type_hints(IterationRecord)
 INTS, BOOLS, FLOATS = (tuple(c for c in TRACE_COLUMNS if _TYPES[c] is t) for t in (int, bool, float))

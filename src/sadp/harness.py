@@ -165,8 +165,9 @@ def _prepare(config: TrainConfig):
     training rows, the ModelSpec, the energy-evaluation Batch). The training
     split is a row index into the dataset, so IDX pixels stay mapped bytes;
     the evaluation rows live on only as the Batch, laid out feature-major in
-    float32 (float64 if a feature lies beyond float32's range), so the
-    screening energy is float32 GEMMs under a float64 loss.
+    float32 exactly when the features are IDX pixel bytes (in [0, 1] once
+    widened), else in float64: only an IDX run's screening energy is float32
+    GEMMs under a float64 loss; a CSV or synthetic run's is float64 throughout.
     The model takes the dataset's features and the training labels; every
     label the run reads must index its outputs, [0, training class count)."""
     test, test_rows = None, slice(None)   # the test set and its rows, if any
@@ -230,12 +231,10 @@ def _prepare(config: TrainConfig):
                 raise SadpError(
                     f"class labels must lie in [0, {spec.output_dim}), the training set's range"
                 )
-    eval_features = source.features[eval_rows]
-    fits = eval_features.dtype.kind in "iu" or np.finfo(np.float32).max >= max(
-        eval_features.max(initial=0.0), -eval_features.min(initial=0.0)
+    dtype = np.float32 if config.dataset == "idx" else np.float64
+    return dataset, train_rows, spec, models.to_batch(
+        spec, source.features[eval_rows], eval_labels, dtype
     )
-    dtype = np.float32 if fits else np.float64
-    return dataset, train_rows, spec, models.to_batch(spec, eval_features, eval_labels, dtype)
 
 
 def train(config: TrainConfig):

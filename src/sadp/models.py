@@ -10,10 +10,10 @@ Activations are feature-major with the bias folded in: every layer input is
 a C-contiguous (fan_in + 1, n) matrix whose last row is ones, so a layer is
 one GEMM [W; b].T @ [h; 1]. A Batch holds the first such input (built by
 to_batch) with the labels' gather index. The forward pass runs in the
-Batch's dtype: float64 for the gradient path, float32 for a run's energy
-evaluation, whose loss is still float64. Backprop yields each layer's input
-and output gradient; the outer product of their i-th columns is example i's
-[W; b] gradient.
+Batch's dtype: float64, except an IDX run's energy evaluation (pixels in
+[0, 1]): float32 GEMMs under a float64 loss. Backprop yields each layer's
+input and output gradient; the outer product of their i-th columns is
+example i's [W; b] gradient.
 """
 
 from __future__ import annotations
@@ -104,10 +104,10 @@ def _weights(spec: ModelSpec, w: np.ndarray) -> list[np.ndarray]:
 class Batch:
     """n examples laid out for the forward pass.
 
-    inputs is (input_dim + 1, n) float64 or float32, C-contiguous, its last
-    row ones; targets are float regression targets or intp class labels,
-    (n,); picks are the flat indices labels * n + arange(n) of each
-    example's label in C-contiguous (k, n) outputs (classification only).
+    inputs is (input_dim + 1, n) float64 (float32 for an IDX run's energy),
+    C-contiguous, its last row ones; targets are float regression targets or
+    intp class labels, (n,); picks are the flat indices labels * n + arange(n)
+    of each example's label in C-contiguous (k, n) outputs (classification only).
     """
 
     inputs: np.ndarray
@@ -215,9 +215,9 @@ def per_example_losses_grads(
 def evaluate(spec: ModelSpec, w: np.ndarray, batch: Batch) -> tuple[float, float | None]:
     """(mean loss, accuracy) on a non-empty Batch; accuracy None for regression.
 
-    The GEMMs run in the Batch's dtype, the loss on their outputs widened to
-    float64. A float32 Batch whose loss is not finite (an overflow float64
-    may not have) is evaluated again in float64 from the same inputs."""
+    The GEMMs run in the Batch's dtype, float32 only for IDX pixels, the loss
+    on their outputs widened to float64. A float32 Batch whose loss is not
+    finite (weights past float32's range) is redone in float64 from its inputs."""
     exact = batch.inputs.dtype == np.float64
     quiet = None if exact else "ignore"       # None leaves the caller's setting
     with np.errstate(over=quiet, invalid=quiet):

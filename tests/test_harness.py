@@ -652,21 +652,21 @@ class TestMappedIndexExactness:
 
 
 class TestFloat32Screening:
-    """A run screened on its float32 evaluation Batch makes every decision
-    the same run screened on a float64 Batch makes, and ends at the same
-    parameters: only the energy's last digits move."""
+    """An IDX run screened on its float32 evaluation Batch makes every
+    decision the same run screened on a float64 Batch makes, and ends at the
+    same parameters: only the energy's last digits move. Every other run
+    screens in float64."""
 
-    @pytest.mark.parametrize("dataset", ["synth_blobs", "idx"])
-    def test_decisions_and_parameters_match_float64_screening(self, tmp_path, monkeypatch, dataset):
-        if dataset == "idx":
-            images, labels = tmp_path / "images", tmp_path / "labels"
-            data.save_idx(data.synth_blobs(800, 10, 49, 1), images, labels, 7, 7)
-            run = (f"dataset = idx\nidx_train_images = {images}\nidx_train_labels = {labels}\n"
-                   "model = softmax_regression\nseed = 2\n")
-        else:
-            run = "dataset = synth_blobs\nsynth_n = 1000\nblob_dim = 49\nmodel = mlp\nlayer_widths = 16\nseed = 1\n"
+    @pytest.mark.parametrize("model", [
+        "model = softmax_regression\nseed = 2\n",
+        "model = mlp\nlayer_widths = 16\nseed = 1\n",
+    ], ids=["idx", "idx-mlp"])
+    def test_decisions_and_parameters_match_float64_screening(self, tmp_path, monkeypatch, model):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        data.save_idx(data.synth_blobs(800, 10, 49, 1), images, labels, 7, 7)
         cfg = parse_config_text(
-            run + "lot_size = 64\neta = 2.0\nclip_norm = 0.5\nsigma = 0.8\n"
+            f"dataset = idx\nidx_train_images = {images}\nidx_train_labels = {labels}\n" + model
+            + "lot_size = 64\neta = 2.0\nclip_norm = 0.5\nsigma = 0.8\n"
             "eps_budget = none\nmax_iters = 400\n"
         )
         w32, _, screened32 = train(cfg)
@@ -688,16 +688,47 @@ class TestFloat32Screening:
         assert 0 < screened32[-1].tau < screened32[-1].t == 400
 
     def test_features_past_float32_range_are_screened_in_float64(self, tmp_path):
-        # a float32 batch would hold inf for 1e39; the run keeps float64
+        # a float32 batch would hold inf for 1e39; a CSV run screens in
+        # float64 at 1e39 and at 1e29 alike, in range of float32 or not
         rng = np.random.default_rng(11)
         table = np.column_stack([rng.normal(size=(100, 3)), rng.integers(0, 2, 100)])
-        table[:, 0] *= 1e39
-        np.savetxt(tmp_path / "table.csv", table, delimiter=",")
         cfg = TrainConfig(dataset="csv", csv_path=str(tmp_path / "table.csv"), lot_size=8)
-        assert harness._prepare(cfg)[3].inputs.dtype == np.float64
-        table[:, 0] /= 1e10
+        for scale, least in [(1e39, 1e38), (1e-10, 1e28)]:
+            table[:, 0] *= scale
+            np.savetxt(tmp_path / "table.csv", table, delimiter=",")
+            inputs = harness._prepare(cfg)[3].inputs
+            assert inputs.dtype == np.float64
+            assert np.isfinite(inputs).all() and np.abs(inputs[0]).max() > least
+
+    @pytest.mark.parametrize("dataset, dtype", [
+        ("csv", np.float64), ("synth_linear", np.float64), ("synth_blobs", np.float64),
+        ("idx", np.float32),
+    ])
+    def test_evaluation_batch_is_float32_exactly_for_idx_pixels(self, tmp_path, dataset, dtype):
+        images, labels = write_random_idx(tmp_path / "train", 60, 12, 0)
+        rng = np.random.default_rng(12)
+        table = np.column_stack([rng.random((60, 3)), rng.integers(0, 2, 60)])
         np.savetxt(tmp_path / "table.csv", table, delimiter=",")
-        assert harness._prepare(cfg)[3].inputs.dtype == np.float32
+        cfg = dataclasses.replace(
+            SPLIT_CFG, dataset=dataset, idx_train_images=images, idx_train_labels=labels,
+            csv_path=str(tmp_path / "table.csv"), synth_n=60, blob_dim=12,
+        )
+        assert harness._prepare(cfg)[3].inputs.dtype == dtype
+
+    def test_regression_energy_at_the_optimum_is_float64(self):
+        # a tight fit's squared error is a small residual of large
+        # predictions: float32 GEMMs put it 1.2e-5 relative off here
+        cfg = TrainConfig(
+            dataset="synth_linear", model="linear_regression", synth_n=1000,
+            synth_weights=(2.0, -3.0), synth_noise_std=0.001, synth_seed=3, lot_size=8,
+        )
+        dataset, train_rows, spec, batch = harness._prepare(cfg)
+        X, y = dataset.features, dataset.labels
+        w, *_ = np.linalg.lstsq(np.column_stack([X, np.ones(len(X))])[train_rows], y[train_rows])
+        held = data.split(dataset.n, cfg.eval_fraction, cfg.seed)[1]
+        loss, _ = models.evaluate(spec, w, batch)
+        want, _ = models.evaluate(spec, w, models.to_batch(spec, X[held], y[held]))
+        assert loss == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def run_trace_diff(a, b):
@@ -713,6 +744,10 @@ def test_trace_diff_script_checks_decision_columns(tmp_path):
     emit_trace([r._replace(eval_loss=r.eval_loss * (1 + 4e-16)) for r in records], tmp_path / "b.csv")
     flipped = records[3]._replace(accepted=not records[3].accepted)
     emit_trace([*records[:3], flipped, *records[4:]], tmp_path / "c.csv")
+    # an accuracy is an output, not a decision: it is reported like a loss
+    scored = [r._replace(eval_accuracy=0.5) for r in records]
+    emit_trace(scored, tmp_path / "d.csv")
+    emit_trace([*scored[:5], scored[5]._replace(eval_accuracy=0.25), *scored[6:]], tmp_path / "e.csv")
 
     def diff(other, base="a.csv"):
         return run_trace_diff(tmp_path / base, tmp_path / other)
@@ -722,6 +757,9 @@ def test_trace_diff_script_checks_decision_columns(tmp_path):
     assert re.search(r"^eval_loss: max relative difference [1-9]", moved.stdout, re.M)
     changed = diff("c.csv")
     assert changed.returncode == 1 and "accepted: 1 rows differ, first at t=4" in changed.stdout
+    accuracy = diff("e.csv", "d.csv")
+    assert accuracy.returncode == 0 and "decision columns identical" in accuracy.stdout
+    assert "eval_accuracy: max relative difference 0.5\n" in accuracy.stdout
     # run directories: the traces as above, then final.params
     w = np.array([0.25, -1.5, 3.0])
     for run, trace, params in [
