@@ -38,7 +38,7 @@ for s in compare(configs, seeds=range(5)):
 
 # Peek at the first few rows of a trace.
 cfg = dataclasses.replace(base, seed=0)
-_, _, records = train(cfg)
+_, _, records, _ = train(cfg)
 print("\nFirst five iterations of one sa_dpsgd run:")
 print("t  tau  accepted  delta_E    eval_loss")
 for r in records[:5]:

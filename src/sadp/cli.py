@@ -54,7 +54,7 @@ def _cmd_train(args) -> int:
     # made before training, so an unusable --out costs no run
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    w, spend, records = harness.train(config)
+    w, spend, records, test = harness.train(config)
     harness.emit_trace(records, out / "trace.csv")
     models.save_checkpoint(out / "final.params", w)
     print(
@@ -64,6 +64,8 @@ def _cmd_train(args) -> int:
         f"delta={spend.delta}) over tau={records[-1].tau} charged, "
         f"{spend.epsilon_computed:.4f} over all t={len(records)} computed"
     )
+    print("test: none, the run has no test split" if test is None else f"test: loss {test[0]:.6f}"
+          + ("" if test[1] is None else f", accuracy {test[1]:.4f}"))
     return 0
 
 
@@ -80,7 +82,8 @@ def _cmd_compare(args) -> int:
     for s in summaries:
         print(
             f"[{s['config_index']}] {s['method']}: "
-            f"acc {s['mean_final_accuracy']:.4f} +/- {s['std_final_accuracy']:.4f}, "
+            f"held-out acc {s['mean_final_accuracy']:.4f} +/- {s['std_final_accuracy']:.4f}, "
+            f"test acc {s['mean_final_test_accuracy']:.4f} +/- {s['std_final_test_accuracy']:.4f}, "
             f"eps {s['mean_final_epsilon']:.4f}, "
             f"eps(t) {s['mean_final_epsilon_computed']:.4f}"
         )

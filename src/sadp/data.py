@@ -8,9 +8,9 @@ train/eval splitting, and Poisson subsampling.
 IDX pixels are mapped read-only from the file as bytes, so an input file
 must not change while a run uses it. `load_idx` widens them to float64 in
 [0, 1] at once; a training run keeps them mapped, `split` carves row indices
-rather than copies, and `models.to_batch` widens IDX energy rows (once, to
-float32; CSV and synthetic ones stay float64) and each Poisson batch (to
-float64) into feature-major model inputs: no training matrix copy is built.
+rather than copies, and `models.to_batch` widens the energy rows (once; IDX
+ones to float32), each Poisson batch and the final test rows (to float64)
+into feature-major model inputs: no training matrix copy is built.
 """
 
 from __future__ import annotations

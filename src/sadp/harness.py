@@ -41,7 +41,7 @@ class TrainConfig:
     mu0: int = 10
     delta: float = 1e-5
     eps_budget: float | None = 3.0
-    eval_set: str = "held_out"               # held_out | test
+    eval_set: str = "held_out"               # held_out only: a test split is never screened on
     eval_fraction: float = 0.1
     seed: int = 0
     tight_conversion: bool = False
@@ -68,7 +68,9 @@ class TrainConfig:
                 raise SadpError(f"{f.name} must be finite, got {value!r}")
         if self.method not in ("dpsgd", "sa_dpsgd"):
             raise SadpError(f"unknown method {self.method!r}")
-        if self.eval_set not in ("held_out", "test"):
+        if self.eval_set == "test":
+            raise SadpError("eval_set = test is retired: a run screens on held-out training rows")
+        if self.eval_set != "held_out":
             raise SadpError(f"unknown eval_set {self.eval_set!r}")
         if self.dataset not in ("idx", "csv", "synth_linear", "synth_blobs"):
             raise SadpError(f"unknown dataset {self.dataset!r}")
@@ -162,18 +164,24 @@ TRACE_COLUMNS = list(IterationRecord._fields)
 
 def _prepare(config: TrainConfig):
     """Read, carve and check one run's data: returns (dataset as read, its
-    training rows, the ModelSpec, the energy-evaluation Batch). The training
-    split is a row index into the dataset, so IDX pixels stay mapped bytes;
-    the evaluation rows live on only as the Batch, laid out feature-major in
-    float32 exactly when the features are IDX pixel bytes (in [0, 1] once
-    widened), else in float64: only an IDX run's screening energy is float32
-    GEMMs under a float64 loss; a CSV or synthetic run's is float64 throughout.
-    The model takes the dataset's features and the training labels; every
-    label the run reads must index its outputs, [0, training class count)."""
-    test, test_rows = None, slice(None)   # the test set and its rows, if any
+    training rows, the ModelSpec, the energy-evaluation Batch, the test split).
+    The training rows are an index into the dataset, so IDX pixels stay mapped
+    bytes; the evaluation rows, carved from them, live on only as the Batch,
+    float32 exactly for IDX pixels (in [0, 1] once widened), else float64. The
+    test split, a LabeledDataset or None, is the IDX test pair as read, the CSV
+    rows carved off first, or the generator's next seed. Every label the run
+    reads must index the model's outputs, [0, training class count)."""
+    needed = {"idx": ["idx_train_images", "idx_train_labels"], "csv": ["csv_path"]}
+    if config.idx_test_images or config.idx_test_labels:
+        needed["idx"] += ["idx_test_images", "idx_test_labels"]   # both files or neither
+    for key in needed.get(config.dataset, []):
+        if not getattr(config, key):
+            raise SadpError(f"dataset = {config.dataset} needs {key}, which is not set")
+    test = None
     if config.dataset == "csv":
-        dataset = test = data.load_csv(config.csv_path)
+        dataset = data.load_csv(config.csv_path)
         train_rows, test_rows = data.split(dataset.n, config.eval_fraction, config.seed)
+        test = data.LabeledDataset(dataset.features[test_rows], dataset.labels[test_rows])
     else:
         if config.dataset == "idx":
             dataset = data.read_idx(config.idx_train_images, config.idx_train_labels)
@@ -184,6 +192,8 @@ def _prepare(config: TrainConfig):
                         f"idx_test_images {config.idx_test_images} has {test.dim} features "
                         f"per row, the training images {dataset.dim}"
                     )
+                if test.n == 0:
+                    raise SadpError(f"empty test split: {config.idx_test_images} has no rows")
         else:
             # one generator draws the training set and, from the next seed,
             # a fifth as many test rows
@@ -197,17 +207,11 @@ def _prepare(config: TrainConfig):
             dataset = generate(config.synth_n, config.synth_seed)
             test = generate(max(config.synth_n // 5, 1), config.synth_seed + 1)
         train_rows = np.arange(dataset.n)
-    if config.eval_set == "test":
-        if test is None:
-            raise SadpError("eval_set=test requires a test dataset")
-        source, eval_rows = test, test_rows
-    else:
-        keep, held = data.split(len(train_rows), config.eval_fraction, config.seed)
-        train_rows, source, eval_rows = train_rows[keep], dataset, train_rows[held]
-    eval_labels = source.labels[eval_rows]
-    if len(train_rows) == 0 or len(eval_labels) == 0:
+    keep, held = data.split(len(train_rows), config.eval_fraction, config.seed)
+    train_rows, eval_rows = train_rows[keep], train_rows[held]
+    if len(train_rows) == 0 or len(eval_rows) == 0:
         raise SadpError(
-            f"empty split: {len(train_rows)} training and {len(eval_labels)} evaluation rows"
+            f"empty split: {len(train_rows)} training and {len(eval_rows)} evaluation rows"
         )
     if config.lot_size > len(train_rows):
         raise SadpError(f"lot_size {config.lot_size} exceeds the {len(train_rows)} training rows")
@@ -225,7 +229,7 @@ def _prepare(config: TrainConfig):
             layer_widths=tuple(config.layer_widths), activation=config.activation,
         )
         # every row read: the dataset's (training, evaluation and carved test
-        # rows) and the test set's
+        # rows) and the test split's
         for labels in (dataset.labels, None if test is None else test.labels):
             if labels is not None and np.any((labels < 0) | (labels >= spec.output_dim)):
                 raise SadpError(
@@ -233,19 +237,22 @@ def _prepare(config: TrainConfig):
                 )
     dtype = np.float32 if config.dataset == "idx" else np.float64
     return dataset, train_rows, spec, models.to_batch(
-        spec, source.features[eval_rows], eval_labels, dtype
-    )
+        spec, dataset.features[eval_rows], dataset.labels[eval_rows], dtype
+    ), test
 
 
 def train(config: TrainConfig):
-    """Run one experiment; returns (final w, PrivacySpend, records).
+    """Run one experiment; returns (final w, PrivacySpend, records, test).
 
     Only applied updates are charged, tau of them; the spend's
     epsilon_computed composes all t computed candidates. With
-    method=sa_dpsgd, every candidate passes the annealed acceptance test;
-    with method=dpsgd every candidate is applied, so tau = t.
+    method=sa_dpsgd, every candidate passes the annealed acceptance test on
+    held-out training rows; with method=dpsgd every candidate is applied, so
+    tau = t. test is the final w's (loss, accuracy) on the test split, scored
+    once after the last candidate in float64 (accuracy None for regression),
+    or None for a run without a test split.
     """
-    dataset, train_rows, spec, eval_batch = _prepare(config)
+    dataset, train_rows, spec, eval_batch, test = _prepare(config)
     q = config.lot_size / len(train_rows)
     acct = accountant.AccountantState(q, config.sigma, config.delta, config.tight_conversion)
     max_charged = None
@@ -303,7 +310,11 @@ def train(config: TrainConfig):
             epsilon_so_far=epsilon,
         ))
 
-    return w, accountant.spend(acct, tau, computed=t), records
+    spend = accountant.spend(acct, tau, computed=t)
+    if test is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            test = models.evaluate(spec, w, models.to_batch(spec, test.features, test.labels))
+    return w, spend, records, test
 
 
 def _check_energy(energy: float, where: str) -> None:
@@ -329,9 +340,10 @@ def emit_trace(records, path) -> None:
 def compare(configs, seeds):
     """Run every config over every seed; summarize per config.
 
-    Returns a list of dicts with mean/std of final accuracy, final loss,
-    final epsilon over the tau charged steps and final epsilon over all t
-    computed candidates.
+    Returns a list of dicts with mean/std of the final held-out accuracy and
+    loss (the split the screen selects by), the final test accuracy and loss
+    (NaN for runs without a test split), final epsilon over the tau charged
+    steps and final epsilon over all t computed candidates.
     """
     if not configs or not seeds:
         raise SadpError("need at least one config and one seed")
@@ -342,17 +354,19 @@ def compare(configs, seeds):
         for run in per_seed:
             _prepare(run)
     summaries = []
+    names = ("accuracy", "loss", "test_loss", "test_accuracy", "epsilon", "epsilon_computed")
     for i, (config, per_seed) in enumerate(zip(configs, runs)):
-        finals = []   # (accuracy, loss, epsilon, epsilon_computed) per seed
+        finals = []   # one tuple of these per seed
         for run in per_seed:
-            _, spend_, records = train(run)
+            _, spend_, records, test = train(run)
             final = records[-1]
-            finals.append((final.eval_accuracy, final.eval_loss, spend_.epsilon,
-                           spend_.epsilon_computed))
+            finals.append((final.eval_accuracy, final.eval_loss, *(test or (None, None)),
+                           spend_.epsilon, spend_.epsilon_computed))
         summary = {"config_index": i, "method": config.method, "n_runs": len(seeds)}
-        for name, xs in zip(("accuracy", "loss", "epsilon", "epsilon_computed"), zip(*finals)):
-            # NaN, and null in JSON, over no values (a regression run's accuracy)
-            vals = [x for x in xs if not math.isnan(x)]
+        for name, xs in zip(names, zip(*finals)):
+            # NaN, and null in JSON, over no values (a regression run's
+            # accuracy, a run without a test split)
+            vals = [x for x in xs if x is not None and not math.isnan(x)]
             summary[f"mean_final_{name}"] = statistics.fmean(vals) if vals else math.nan
             summary[f"std_final_{name}"] = statistics.pstdev(vals) if vals else math.nan
         summaries.append(summary)

@@ -74,8 +74,10 @@ def test_train_prints_charged_and_computed_epsilon(tmp_path, capsys, method):
     text = SMALL_CFG.replace("sa_dpsgd", method).replace("25", "60") + "eta = 5\n"
     cfg = write_cfg(tmp_path, text)
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    (line,) = capsys.readouterr().out.splitlines()
+    line, test_line = capsys.readouterr().out.splitlines()
     got, n, eps_tau, tau, eps_t, t = SUMMARY.match(line).groups()
+    # synth_linear scores its synth_seed + 1 set; a regression run has no accuracy
+    assert re.fullmatch(r"test: loss \d+\.\d{6}", test_line)
     assert got == method and int(n) == int(t) == 60
     state = accountant.AccountantState(q=20 / 180, sigma=1.0, delta=1e-5)
     assert eps_tau == f"{state.epsilon(int(tau)):.4f}" and eps_t == f"{state.epsilon(60):.4f}"
@@ -198,7 +200,7 @@ def test_test_label_beyond_train_classes_exits_2(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         LABELED_CFG
-        + "dataset = idx\neval_set = test\n"
+        + "dataset = idx\n"
         + f"idx_train_images = {paths['train'][0]}\nidx_train_labels = {paths['train'][1]}\n"
         + f"idx_test_images = {paths['test'][0]}\nidx_test_labels = {paths['test'][1]}\n",
     )
@@ -208,10 +210,8 @@ def test_test_label_beyond_train_classes_exits_2(tmp_path, capsys):
     assert "labels" in err
 
 
-@pytest.mark.parametrize("eval_set", ["test", "held_out"])
-def test_test_images_of_another_size_exit_2(tmp_path, capsys, eval_set):
-    # 3x3 test images against 2x2 training images, labels in range; the
-    # test set is checked whether or not it is the evaluation set
+def test_test_images_of_another_size_exit_2(tmp_path, capsys):
+    # 3x3 test images against 2x2 training images, labels in range
     rng = np.random.default_rng(0)
     paths = {}
     for part, side in (("train", 2), ("test", 3)):
@@ -221,7 +221,7 @@ def test_test_images_of_another_size_exit_2(tmp_path, capsys, eval_set):
     cfg = write_cfg(
         tmp_path,
         LABELED_CFG
-        + f"dataset = idx\neval_set = {eval_set}\n"
+        + "dataset = idx\n"
         + f"idx_train_images = {paths['train'][0]}\nidx_train_labels = {paths['train'][1]}\n"
         + f"idx_test_images = {paths['test'][0]}\nidx_test_labels = {paths['test'][1]}\n",
     )
@@ -232,6 +232,71 @@ def test_test_images_of_another_size_exit_2(tmp_path, capsys, eval_set):
         f"error: idx_test_images {paths['test'][0]} has 9 features per row, "
         "the training images 4\n"
     )
+
+
+# each data config and the key it lacks; the paths named are never opened
+UNSET_PATHS = {
+    "idx": ("dataset = idx\n", "idx_train_images"),
+    "idx-no-train-labels": ("dataset = idx\nidx_train_images = nope\n", "idx_train_labels"),
+    "idx-test-images-only": (
+        "dataset = idx\nidx_train_images = a\nidx_train_labels = b\nidx_test_images = c\n",
+        "idx_test_labels",
+    ),
+    "idx-test-labels-only": (
+        "dataset = idx\nidx_train_images = a\nidx_train_labels = b\nidx_test_labels = d\n",
+        "idx_test_images",
+    ),
+    "csv": ("dataset = csv\n", "csv_path"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNSET_PATHS))
+def test_unset_data_path_exits_2_naming_the_key(tmp_path, capsys, case):
+    text, key = UNSET_PATHS[case]
+    cfg = write_cfg(tmp_path, LABELED_CFG + text)
+    err = assert_exits_2_without_traceback(
+        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+    assert err == f"error: {text.splitlines()[0]} needs {key}, which is not set\n"
+
+
+def test_empty_idx_test_file_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    paths = {}
+    for part, n in (("train", 30), ("test", 0)):
+        ds = LabeledDataset(rng.uniform(size=(n, 4)), np.arange(n) % 3)
+        paths[part] = (tmp_path / f"{part}-images", tmp_path / f"{part}-labels")
+        save_idx(ds, *paths[part], rows=2, cols=2)
+    cfg = write_cfg(
+        tmp_path,
+        LABELED_CFG
+        + "dataset = idx\n"
+        + f"idx_train_images = {paths['train'][0]}\nidx_train_labels = {paths['train'][1]}\n"
+        + f"idx_test_images = {paths['test'][0]}\nidx_test_labels = {paths['test'][1]}\n",
+    )
+    err = assert_exits_2_without_traceback(
+        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+    assert err == f"error: empty test split: {paths['test'][0]} has no rows\n"
+
+
+def test_train_prints_its_test_score(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MLP_CFG)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "blobs")]) == 0
+    _, _, _, (loss, accuracy) = harness.train(harness.load_config(cfg))
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"test: loss {loss:.6f}, accuracy {accuracy:.4f}"
+    )
+    # an IDX run without a test pair has no test split
+    ds = LabeledDataset(np.random.default_rng(0).uniform(size=(30, 4)), np.arange(30) % 3)
+    save_idx(ds, tmp_path / "images", tmp_path / "labels", rows=2, cols=2)
+    cfg = write_cfg(
+        tmp_path,
+        LABELED_CFG + f"dataset = idx\nidx_train_images = {tmp_path / 'images'}\n"
+        + f"idx_train_labels = {tmp_path / 'labels'}\n",
+    )
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "idx")]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "test: none, the run has no test split"
 
 
 def write_idx(tmp_path, images: bytes, labels: bytes) -> str:
@@ -452,7 +517,11 @@ def test_compare_emits_summaries(tmp_path, capsys):
     assert (out / "summary.json").exists()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all(
-        re.fullmatch(r"\[\d\] sa_dpsgd: acc \S+ \+/- \S+, eps \S+, eps\(t\) \S+", line)
+        re.fullmatch(
+            r"\[\d\] sa_dpsgd: held-out acc \S+ \+/- \S+, test acc \S+ \+/- \S+, "
+            r"eps \S+, eps\(t\) \S+",
+            line,
+        )
         for line in lines
     )
     header = (out / "summary.csv").read_text().splitlines()[0].split(",")
@@ -463,13 +532,14 @@ def test_regression_compare_writes_strict_json_with_null_accuracy(tmp_path, caps
     out = tmp_path / "cmp"
     argv = ["compare", "--configs", str(CONFIGS / "synth_linear.cfg"), "--seeds", "0,1"]
     assert cli.main([*argv, "--out", str(out)]) == 0
-    assert "acc nan +/- nan," in capsys.readouterr().out
+    assert "held-out acc nan +/- nan, test acc nan +/- nan," in capsys.readouterr().out
 
     def reject(token):
         raise AssertionError(f"summary.json holds the non-JSON token {token}")
 
     (summary,) = json.loads((out / "summary.json").read_text(), parse_constant=reject)
     assert summary["mean_final_accuracy"] is None and summary["std_final_accuracy"] is None
+    assert summary["mean_final_test_accuracy"] is None and summary["mean_final_test_loss"] > 0
     assert summary["n_runs"] == 2 and summary["std_final_loss"] > 0
 
 

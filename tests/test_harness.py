@@ -58,6 +58,7 @@ BAD_CONFIGS = {
     "method = dp_magic": r"^unknown method 'dp_magic'$",
     "sigma = -1": r"^noise multiplier sigma=-1.0 must be > 0$",
     "eval_set = validation": r"^unknown eval_set 'validation'$",
+    "eval_set = test": r"^eval_set = test is retired: a run screens on held-out training rows$",
     "clip_kind = foo": r"^unknown clip kind 'foo'$",
     "activation = relu": r"^unknown activation 'relu'$",
     "delta = 1.5": r"^delta=1.5 must be in \(0, 1\)$",
@@ -129,7 +130,7 @@ class TestTrain:
                 LINREG_CFG, sigma=1e-12, clip_norm=10.0, max_iters=400,
                 synth_n=10_000, lot_size=100, q0=1000.0, seed=seed,
             )
-            _, _, records = train(cfg)
+            _, _, records, _ = train(cfg)
             # least-squares optimum of the energy-evaluation split: its
             # Batch inputs are the features over a row of ones
             batch = harness._prepare(cfg)[3]
@@ -140,7 +141,7 @@ class TestTrain:
 
     def test_accepted_energy_monotone_except_risky_acceptances(self):
         cfg = dataclasses.replace(LINREG_CFG, sigma=1e-12, clip_norm=10.0)
-        _, _, records = train(cfg)
+        _, _, records, _ = train(cfg)
         prev_energy = math.inf
         prev_q = None
         for r in records:
@@ -156,8 +157,8 @@ class TestTrain:
         # so the resulting parameters after one iteration must be identical
         one = dataclasses.replace(LINREG_CFG, max_iters=1)
         for seed in range(5):
-            w_sa, _, recs_sa = train(dataclasses.replace(one, seed=seed))
-            w_dp, _, recs_dp = train(
+            w_sa, _, recs_sa, _ = train(dataclasses.replace(one, seed=seed))
+            w_dp, _, recs_dp, _ = train(
                 dataclasses.replace(one, method="dpsgd", seed=seed)
             )
             assert recs_sa[0].delta_E == recs_dp[0].delta_E
@@ -166,7 +167,7 @@ class TestTrain:
 
     def test_dpsgd_charges_and_accepts_every_iteration(self):
         cfg = dataclasses.replace(LINREG_CFG, method="dpsgd", max_iters=50)
-        _, _, records = train(cfg)
+        _, _, records, _ = train(cfg)
         for r in records:
             assert r.accepted and not r.forced
             assert r.tau == r.t
@@ -177,7 +178,7 @@ class TestTrain:
                                   max_iters=200, q0=5.0, mu0=3)
         paths = collections.Counter()
         for seed in range(3):
-            _, _, records = train(dataclasses.replace(cfg, seed=seed))
+            _, _, records, _ = train(dataclasses.replace(cfg, seed=seed))
             paths.update(assert_chain_rules(cfg, records))
         assert {"improving", "risky", "rejected", "forced", "first_rejected"} <= set(paths)
 
@@ -185,7 +186,7 @@ class TestTrain:
         cfg = dataclasses.replace(LINREG_CFG, method="dpsgd", synth_n=200, lot_size=20,
                                   sigma=50.0, max_iters=200, q0=5.0, mu0=3)
         for seed in range(3):
-            _, _, records = train(dataclasses.replace(cfg, seed=seed))
+            _, _, records, _ = train(dataclasses.replace(cfg, seed=seed))
             paths = assert_chain_rules(cfg, records)
             assert all(r.accepted and not r.forced and r.P == 1.0 for r in records)
             assert paths["risky"] > 0 and "rejected" not in paths
@@ -193,7 +194,7 @@ class TestTrain:
     @pytest.mark.parametrize("tight", [False, True])
     def test_final_spend_matches_independent_recompute(self, tight):
         cfg = dataclasses.replace(LINREG_CFG, max_iters=80, tight_conversion=tight)
-        _, spend_, records = train(cfg)
+        _, spend_, records, _ = train(cfg)
         state = accountant.AccountantState(
             q=min(cfg.lot_size / 900, 1.0),  # 1000 minus the 10% held-out split
             sigma=cfg.sigma,
@@ -207,7 +208,7 @@ class TestTrain:
         cfg = dataclasses.replace(
             LINREG_CFG, eps_budget=2.0, max_iters=100_000, sigma=2.0
         )
-        _, spend_, records = train(cfg)
+        _, spend_, records, _ = train(cfg)
         assert records  # some iterations actually ran
         eps = [r.epsilon_so_far for r in records]
         assert eps == sorted(eps)
@@ -221,7 +222,7 @@ class TestTrain:
         # every candidate's energy overflows; mu0 = 10 voluntary rejections
         # come first, and the 11th candidate is forced, applied and raised
         cfg = dataclasses.replace(LINREG_CFG, eta=1e200, max_iters=10)
-        _, _, records = train(cfg)
+        _, _, records, _ = train(cfg)
         assert [(r.accepted, r.forced, r.P, r.delta_E) for r in records] == [
             (False, False, 0.0, math.inf)
         ] * 10
@@ -246,7 +247,7 @@ class TestTrain:
         with pytest.raises(SadpError, match=r"^lot_size 512 exceeds the 90 training rows$"):
             train(cfg)
         # a lot of every training row is the largest: q = 1
-        _, spend_, records = train(dataclasses.replace(cfg, lot_size=90))
+        _, spend_, records, _ = train(dataclasses.replace(cfg, lot_size=90))
         full_batch = accountant.AccountantState(1.0, cfg.sigma, cfg.delta)
         assert len(records) == 5 and spend_.epsilon == full_batch.epsilon(records[-1].tau)
 
@@ -316,7 +317,7 @@ def last_row(path) -> dict[str, str]:
 class TestTraces:
     def test_trace_round_trip(self, tmp_path):
         cfg = dataclasses.replace(LINREG_CFG, max_iters=20)
-        _, _, records = train(cfg)
+        _, _, records, _ = train(cfg)
         path = tmp_path / "trace.csv"
         emit_trace(records, path)
         assert_trace_holds(path, records)
@@ -354,7 +355,7 @@ class TestTraces:
     def test_identical_config_and_seed_give_byte_identical_traces(self, tmp_path):
         cfg = dataclasses.replace(LINREG_CFG, max_iters=30)
         for name in ("a.csv", "b.csv"):
-            _, _, records = train(cfg)
+            _, _, records, _ = train(cfg)
             emit_trace(records, tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -362,9 +363,12 @@ class TestTraces:
 class TestCompare:
     def test_single_run_summary_equals_final_record(self):
         cfg = dataclasses.replace(LINREG_CFG, max_iters=25)
-        _, spend_, records = train(dataclasses.replace(cfg, seed=3))
+        _, spend_, records, (test_loss, test_accuracy) = train(dataclasses.replace(cfg, seed=3))
         (summary,) = compare([cfg], seeds=[3])
         assert summary["mean_final_loss"] == records[-1].eval_loss
+        # the synth_seed + 1 test set's loss; a regression run has no accuracy
+        assert summary["mean_final_test_loss"] == test_loss
+        assert test_accuracy is None and math.isnan(summary["mean_final_test_accuracy"])
         assert summary["mean_final_epsilon"] == spend_.epsilon
         assert summary["mean_final_epsilon_computed"] == spend_.epsilon_computed
         assert summary["std_final_loss"] == 0.0
@@ -399,7 +403,7 @@ class TestClassification:
             synth_n=500, blob_classes=3, blob_dim=16, lot_size=64,
             eps_budget=None, max_iters=60, seed=1,
         )
-        w, _, records = train(cfg)
+        w, _, records, _ = train(cfg)
         assert 0.0 <= records[-1].eval_accuracy <= 1.0
         path = tmp_path / "final.params"
         models.save_checkpoint(path, w)
@@ -412,12 +416,12 @@ class TestClassification:
                 dataset="synth_blobs", synth_n=300, blob_classes=3, blob_dim=8,
                 lot_size=32, eps_budget=None, max_iters=20, seed=2,
             )
-            _, _, records = train(cfg)
+            _, _, records, _ = train(cfg)
             assert len(records) == 20
 
     def test_auto_s_clipping_trains(self):
         cfg = dataclasses.replace(LINREG_CFG, clip_kind="auto_s", max_iters=20)
-        _, _, records = train(cfg)
+        _, _, records, _ = train(cfg)
         assert len(records) == 20
 
 
@@ -482,10 +486,9 @@ class TestIdxSplits:
             SPLIT_CFG, idx_train_images=images, idx_train_labels=labels,
             eval_fraction=eval_fraction, seed=seed,
         )
-        dataset, train_rows, _, batch = harness._prepare(cfg)
-        # no test pair is read
-        with pytest.raises(SadpError, match=r"^eval_set=test requires a test dataset$"):
-            harness._prepare(dataclasses.replace(cfg, eval_set="test"))
+        dataset, train_rows, _, batch, test = harness._prepare(cfg)
+        # no test pair is given, so the run has no test split
+        assert test is None
         # the training split is a row index into the mapped bytes as read
         assert not dataset.features.flags.writeable
         assert_same_rows(dataset, data.read_idx(images, labels))
@@ -507,7 +510,7 @@ class TestIdxSplits:
             assert_widens_to(rows_of(train_set, idx), rows_of(float_train, idx))
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_test_split_is_widened_only_as_the_eval_set(self, tmp_path, monkeypatch, seed):
+    def test_test_split_stays_bytes_and_out_of_the_eval_set(self, tmp_path, monkeypatch, seed):
         train_files = write_random_idx(tmp_path / "train", 50, 12, seed)
         test_files = write_random_idx(tmp_path / "test", 20, 12, seed + 1)
         cfg = dataclasses.replace(
@@ -524,20 +527,17 @@ class TestIdxSplits:
             return read_idx(*paths)
 
         monkeypatch.setattr(data, "read_idx", recorded)
-        dataset, train_rows, _, batch = harness._prepare(dataclasses.replace(cfg, eval_set="test"))
+        dataset, train_rows, _, batch, test = harness._prepare(cfg)
         assert reads == [train_files, test_files]
-        np.testing.assert_array_equal(train_rows, np.arange(50))
-        train_set = rows_of(dataset, train_rows)
-        assert_same_rows(train_set, train_bytes)
-        assert_same_rows(widened(train_set), train_floats)
-        assert_batch_holds(batch, test_floats, np.float32)
-        # with a held-out split the test pair is read but never widened: the
-        # Batch holds the held-out training rows
-        reads.clear()
-        _, _, _, batch = harness._prepare(dataclasses.replace(cfg, eval_set="held_out"))
-        assert reads == [train_files, test_files]
-        held = np.random.default_rng(seed).permutation(50)[:5]
-        assert_batch_holds(batch, rows_of(train_floats, held), np.float32)
+        # the training split and the held-out Batch are the training pair's
+        # rows; the test split is the test pair's bytes as read, unwidened
+        perm = np.random.default_rng(seed).permutation(50)
+        np.testing.assert_array_equal(train_rows, perm[5:])
+        assert_same_rows(rows_of(dataset, train_rows), rows_of(train_bytes, perm[5:]))
+        assert_batch_holds(batch, rows_of(train_floats, perm[:5]), np.float32)
+        assert not test.features.flags.writeable
+        assert_same_rows(test, data.read_idx(*test_files))
+        assert_same_rows(widened(test), test_floats)
 
     def test_held_out_split_never_holds_the_full_float_matrix(self, tmp_path):
         # numpy reports its buffers to tracemalloc; the mapped bytes are not
@@ -549,7 +549,7 @@ class TestIdxSplits:
         cfg = TrainConfig(dataset="idx", idx_train_images=images, idx_train_labels=labels)
         tracemalloc.start()
         try:
-            _, train_rows, _, batch = harness._prepare(cfg)
+            _, train_rows, _, batch, _ = harness._prepare(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -565,12 +565,55 @@ class TestIdxSplits:
         )
         tracemalloc.start()
         try:
-            _, _, records = train(cfg)
+            _, _, records, _ = train(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(records) == 5
         assert peak < 0.5 * n * dim * 8
+
+
+class TestTestScore:
+    """train scores its final parameters once on the test split, which the
+    screen never sees."""
+
+    @pytest.mark.parametrize("dataset", ["idx", "csv", "synth_blobs"])
+    def test_score_is_evaluate_on_independently_widened_test_rows(self, tmp_path, dataset):
+        train_files = write_random_idx(tmp_path / "train", 300, 12, 0)
+        test_files = write_random_idx(tmp_path / "test", 60, 12, 1)
+        rng = np.random.default_rng(2)
+        table = np.column_stack([rng.normal(size=(300, 12)), rng.integers(0, 10, 300)])
+        np.savetxt(tmp_path / "table.csv", table, delimiter=",")
+        cfg = TrainConfig(
+            dataset=dataset, model="softmax_regression", lot_size=16, eta=2.0,
+            eps_budget=None, max_iters=30, seed=3, synth_n=300, blob_dim=12,
+            idx_train_images=train_files[0], idx_train_labels=train_files[1],
+            idx_test_images=test_files[0], idx_test_labels=test_files[1],
+            csv_path=str(tmp_path / "table.csv"),
+        )
+        w, _, _, test = train(cfg)
+        if dataset == "idx":
+            rows = data.load_idx(*test_files)
+        elif dataset == "csv":
+            whole = data.load_csv(tmp_path / "table.csv")
+            rows = rows_of(whole, data.split(whole.n, cfg.eval_fraction, cfg.seed)[1])
+        else:
+            rows = data.synth_blobs(60, 10, 12, cfg.synth_seed + 1)
+        spec = models.ModelSpec("softmax_regression", 12, 10)
+        assert test == models.evaluate(spec, w, models.to_batch(spec, rows.features, rows.labels))
+
+    def test_run_without_a_test_split_scores_none(self, tmp_path):
+        images, labels = write_random_idx(tmp_path / "train", 100, 12, 0)
+        cfg = TrainConfig(
+            dataset="idx", idx_train_images=images, idx_train_labels=labels,
+            lot_size=8, eps_budget=None, max_iters=5,
+        )
+        assert train(cfg)[3] is None
+        (summary,) = compare([cfg], seeds=[0, 1])
+        for stat in ("mean", "std"):
+            assert math.isnan(summary[f"{stat}_final_test_loss"])
+            assert math.isnan(summary[f"{stat}_final_test_accuracy"])
+        assert 0.0 <= summary["mean_final_accuracy"] <= 1.0
 
 
 class TestByteResidentExactness:
@@ -580,8 +623,8 @@ class TestByteResidentExactness:
     @pytest.mark.parametrize("extra", [
         "model = softmax_regression\n",
         "model = mlp\nlayer_widths = 16\n",
-        "model = mlp\nlayer_widths = 8\nclip_kind = auto_s\neval_set = test\n",
-    ], ids=["softmax", "mlp", "mlp-auto_s-test"])
+        "model = mlp\nlayer_widths = 8\nclip_kind = auto_s\n",
+    ], ids=["softmax", "mlp", "mlp-auto_s"])
     def test_float_resident_rows_give_identical_outputs(self, tmp_path, monkeypatch, extra):
         train_files = write_random_idx(tmp_path / "train", 600, 49, 4)
         test_files = write_random_idx(tmp_path / "test", 120, 49, 5)
@@ -613,9 +656,9 @@ class TestMappedIndexExactness:
     @pytest.mark.parametrize("extra", [
         "dataset = idx\nmodel = softmax_regression\n",
         "dataset = idx\nmodel = mlp\nlayer_widths = 16\n",
-        "dataset = idx\nmodel = mlp\nlayer_widths = 8\neval_set = test\n",
+        "dataset = idx\nmodel = mlp\nlayer_widths = 8\nclip_kind = auto_s\n",
         "dataset = csv\nmodel = softmax_regression\n",
-    ], ids=["softmax", "mlp", "mlp-test", "csv"])
+    ], ids=["softmax", "mlp", "mlp-auto_s", "csv"])
     def test_copied_rows_give_identical_outputs(self, tmp_path, monkeypatch, extra):
         train_files = write_random_idx(tmp_path / "train", 600, 49, 6)
         test_files = write_random_idx(tmp_path / "test", 120, 49, 7)
@@ -638,8 +681,8 @@ class TestMappedIndexExactness:
             return data.LabeledDataset(np.array(ds.features), ds.labels)
 
         def copied_out(config):
-            dataset, train_rows, spec, eval_batch = prepare(config)
-            return rows_of(dataset, train_rows), np.arange(len(train_rows)), spec, eval_batch
+            dataset, train_rows, spec, eval_batch, test = prepare(config)
+            return rows_of(dataset, train_rows), np.arange(len(train_rows)), spec, eval_batch, test
 
         monkeypatch.setattr(data, "read_idx", in_memory)
         monkeypatch.setattr(harness, "_prepare", copied_out)
@@ -669,7 +712,7 @@ class TestFloat32Screening:
             + "lot_size = 64\neta = 2.0\nclip_norm = 0.5\nsigma = 0.8\n"
             "eps_budget = none\nmax_iters = 400\n"
         )
-        w32, _, screened32 = train(cfg)
+        w32, _, screened32, _ = train(cfg)
         to_batch, dtypes = models.to_batch, []
 
         def float64_batch(spec, X, y, dtype=np.float64):
@@ -677,7 +720,7 @@ class TestFloat32Screening:
             return to_batch(spec, X, y)
 
         monkeypatch.setattr(models, "to_batch", float64_batch)
-        w64, _, screened64 = train(cfg)
+        w64, _, screened64, _ = train(cfg)
         assert dtypes[0] == np.float32             # the evaluation Batch, made float64
         chain = operator.attrgetter("t", "tau", "mu", "accepted", "forced")
         assert list(map(chain, screened32)) == list(map(chain, screened64))
@@ -722,7 +765,7 @@ class TestFloat32Screening:
             dataset="synth_linear", model="linear_regression", synth_n=1000,
             synth_weights=(2.0, -3.0), synth_noise_std=0.001, synth_seed=3, lot_size=8,
         )
-        dataset, train_rows, spec, batch = harness._prepare(cfg)
+        dataset, train_rows, spec, batch, _ = harness._prepare(cfg)
         X, y = dataset.features, dataset.labels
         w, *_ = np.linalg.lstsq(np.column_stack([X, np.ones(len(X))])[train_rows], y[train_rows])
         held = data.split(dataset.n, cfg.eval_fraction, cfg.seed)[1]
@@ -739,7 +782,7 @@ def run_trace_diff(a, b):
 
 
 def test_trace_diff_script_checks_decision_columns(tmp_path):
-    _, _, records = train(dataclasses.replace(LINREG_CFG, max_iters=20))
+    _, _, records, _ = train(dataclasses.replace(LINREG_CFG, max_iters=20))
     emit_trace(records, tmp_path / "a.csv")
     emit_trace([r._replace(eval_loss=r.eval_loss * (1 + 4e-16)) for r in records], tmp_path / "b.csv")
     flipped = records[3]._replace(accepted=not records[3].accepted)
@@ -831,7 +874,7 @@ def test_trace_diff_script_rejects_malformed_trace(tmp_path, text, where, messag
 
 def test_trace_diff_script_rejects_cut_run_trace(tmp_path):
     # a trace.csv cut mid-row, in a run directory, is named with its line
-    _, _, records = train(dataclasses.replace(LINREG_CFG, max_iters=20))
+    _, _, records, _ = train(dataclasses.replace(LINREG_CFG, max_iters=20))
     for run in ("run_a", "run_cut"):
         (tmp_path / run).mkdir()
         emit_trace(records, tmp_path / run / "trace.csv")
@@ -865,3 +908,20 @@ def test_train_and_compare_demo_prints_both_methods():
         r"^dpsgd   : mean final eval loss \d\.\d{6} over 5 seeds \(300 iterations each\)$",
         out, re.M,
     )
+
+
+def test_image_pipeline_demo_prints_its_test_accuracy():
+    root = pathlib.Path(__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "demos" / "04_image_pipeline.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    t, tau, accuracy, epsilon = re.fullmatch(
+        r"iterations run: +(\d+)\nupdates accepted: +(\d+)\n"
+        r"final test accuracy: (\d\.\d{4})\n"
+        r"privacy spent: +epsilon = (\d\.\d{4}) \(budget 3\.0\)\n",
+        out,
+    ).groups()
+    assert 0 < int(tau) <= int(t)
+    assert 0.0 <= float(accuracy) <= 1.0 and float(epsilon) <= 3.0
