@@ -76,9 +76,9 @@ def _rdp_curve(q: float, sigma: float) -> np.ndarray:
     k = np.arange(2, alpha.max() + 1)[:, None]
     log_q = math.log(q) if q < 1.0 else 0.0
     log_1mq = math.log1p(-q) if q < 1.0 else -math.inf
-    # 0 * -inf would poison the k=alpha term, and k > alpha has no term at
-    # all; mask both explicitly (c underflows to 0 only at huge sigma, and
-    # overflows to inf at tiny sigma, where the curve is inf)
+    # 0 * -inf would poison the k=alpha term, k > alpha has no term, nor at
+    # q = 1 has k < alpha (-inf + inf): mask them (c underflows to 0 only at
+    # huge sigma, and overflows to inf at tiny sigma, where the curve is inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = (k * k - k) / (2.0 * sigma * sigma)
         terms = (
@@ -87,7 +87,7 @@ def _rdp_curve(q: float, sigma: float) -> np.ndarray:
             + k * log_q
             + c + np.log(-np.expm1(-c))      # log expm1(c), without overflow
         )
-    log_a_minus_1 = _logsumexp_down(np.where(k <= alpha, terms, -np.inf))
+    log_a_minus_1 = _logsumexp_down(np.where(k <= alpha if q < 1.0 else k == alpha, terms, -np.inf))
     return np.logaddexp(0.0, log_a_minus_1) / (alpha - 1)
 
 

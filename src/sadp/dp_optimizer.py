@@ -50,23 +50,15 @@ def _clip_scale(norms, policy: ClipPolicy):
     return policy.clip_norm / (norms + policy.gamma)
 
 
-def clip_batch(grads: np.ndarray, policy: ClipPolicy) -> np.ndarray:
-    """Bound every row of an (n, dim) gradient matrix in l2 norm."""
-    grads = np.asarray(grads, dtype=np.float64)
-    if not np.all(np.isfinite(grads)):
-        raise SadpError("gradient batch has non-finite entries")
-    return grads * _clip_scale(np.linalg.norm(grads, axis=1), policy)[:, None]
-
-
 def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
     """Sum of a batch's clipped per-example gradients, shape (n_params,), for
     row-major features X (uint8 pixel rows are widened) and targets y.
 
-    Equals clip_batch(models.per_example_losses_grads(...)[1]).sum(0) up to
-    float summation order; an empty batch sums to zeros. A non-finite factor
-    entry makes its example's norm non-finite, so the factors are scanned
-    only then; finite factors whose norm overflows get scale 0, except in a
-    layer whose output gradient is exactly zero, which adds 0 to the norm.
+    Equals the row sum of tests/oracles.py's materialized reference, clip_batch
+    over per_example_losses_grads, up to float summation order; an empty batch
+    sums to zeros. A non-finite factor entry makes its example's norm
+    non-finite, so the factors are scanned only then. Finite factors whose norm
+    overflows get scale 0, but a layer whose output gradient is exactly 0 adds 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):   # inf * 0 is checked below
         factors = models._backprop(spec, w, models.to_batch(spec, X, y))

@@ -330,7 +330,9 @@ _TRACE_FORMATTERS = [_FORMATTERS[hint] for hint in typing.get_type_hints(Iterati
 
 
 def emit_trace(records, path) -> None:
-    """One CSV row per iteration, columns in IterationRecord order."""
+    """One CSV row per iteration, columns in IterationRecord order; its bytes
+    repeat per (config, seed, numpy build, OpenBLAS kernel, thread count), and
+    across those scripts/trace_diff.py's contract holds (see README)."""
     lines = [",".join(TRACE_COLUMNS)]
     for r in records:
         lines.append(",".join(f(v) for f, v in zip(_TRACE_FORMATTERS, r)))

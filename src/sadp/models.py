@@ -200,18 +200,6 @@ def _backprop(spec: ModelSpec, w: np.ndarray, batch: Batch):
     return factors
 
 
-def per_example_losses_grads(
-    spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Losses (n,) and gradients (n, n_params), one row per example: the
-    test oracle for dp_optimizer.clipped_grad_sum, which training uses."""
-    batch = to_batch(spec, X, y)
-    losses, _ = _losses(spec, _forward(spec, w, batch.inputs)[0], batch)
-    return losses, np.hstack(
-        [np.einsum("in,jn->nij", h, d).reshape(len(batch), -1) for h, d in _backprop(spec, w, batch)]
-    )
-
-
 def evaluate(spec: ModelSpec, w: np.ndarray, batch: Batch) -> tuple[float, float | None]:
     """(mean loss, accuracy) on a non-empty Batch; accuracy None for regression.
 

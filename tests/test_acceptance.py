@@ -15,16 +15,16 @@ import numpy as np
 from sadp import data
 from sadp.accountant import AccountantState, max_steps_within, spend
 from sadp.annealer import decide
-from sadp.dp_optimizer import ClipPolicy, clip_batch, clipped_grad_sum
+from sadp.dp_optimizer import ClipPolicy, clipped_grad_sum
 from sadp.harness import TrainConfig, emit_trace, train
 from sadp.models import (
     BOUNDED_TANH,
     LINEAR_REGRESSION,
     ModelSpec,
     init_params,
-    per_example_losses_grads,
 )
 
+from oracles import clip_batch, per_example_losses_grads
 from test_models import ALL_SPECS, finite_difference_grad
 
 MNIST_Q = 512 / 60000

@@ -473,6 +473,23 @@ def test_compare_checks_every_run_before_the_first(tmp_path, capsys, monkeypatch
     assert calls == []
 
 
+def test_compare_checks_each_seeds_carve_before_the_first_run(tmp_path, capsys, monkeypatch):
+    # the model's class count comes from the training rows' labels, so a run
+    # is valid or not by its seed: seed 0 keeps the one class-2 row (row 17)
+    # in training, seed 1 carves it off, and compare must check both carves
+    rows = [f"{i % 3}.0,{(i * 7) % 5}.0,{2 if i == 17 else i % 2}" for i in range(40)]
+    (tmp_path / "data.csv").write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, LABELED_CFG + f"dataset = csv\ncsv_path = {tmp_path / 'data.csv'}\n")
+    assert cli.main(["train", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(harness, "train", calls.append)
+    argv = ["compare", "--configs", str(cfg), "--seeds", "0,1", "--out", str(tmp_path)]
+    err = assert_exits_2_without_traceback(capsys, argv)
+    assert err == "error: class labels must lie in [0, 2), the training set's range\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_unusable_out_exits_4_before_its_first_run(tmp_path, capsys, monkeypatch, command):
     calls = []
@@ -573,6 +590,46 @@ def test_privacy_rejects_negative_tau(capsys):
     argv = ["privacy", "--q", "0.5", "--sigma", "1.0", "--delta", "1e-5", "--tau", "-1"]
     assert cli.main(argv) == errors.SadpError.exit_code
     assert capsys.readouterr().err == "error: tau=-1 must be >= 0\n"
+
+
+# 45 training rows after the held-out split and lot_size 45: q = 1, where a
+# sigma this small overflows the Gaussian's alpha / (2 sigma^2) to inf
+FULL_BATCH_CFG = """
+dataset = synth_blobs
+synth_n = 50
+blob_dim = 3
+lot_size = 45
+sigma = 1e-300
+clip_norm = 1.0
+"""
+
+
+def test_privacy_at_full_batch_and_tiny_sigma_is_infinite(capsys):
+    argv = ["privacy", "--q", "1", "--sigma", "1e-300", "--delta", "1e-5", "--tau", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("epsilon = inf at alpha = ")
+
+
+def test_budget_at_full_batch_and_tiny_sigma_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FULL_BATCH_CFG + "eps_budget = 3.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == errors.BudgetInfeasibleError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget 3.0 does not cover a single charged iteration")
+    assert err.count("\n") == 1
+
+
+def test_unbudgeted_run_at_full_batch_and_tiny_sigma_prints_infinite_epsilon(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FULL_BATCH_CFG + "eps_budget = none\nmax_iters = 5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    got, _, eps_tau, tau, eps_t, _ = SUMMARY.match(capsys.readouterr().out.splitlines()[0]).groups()
+    assert (got, eps_tau, eps_t) == ("sa_dpsgd", "inf", "inf") and int(tau) >= 1
 
 
 def test_runs_on_numpy_alone(tmp_path):

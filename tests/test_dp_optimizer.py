@@ -10,12 +10,13 @@ from sadp import errors, models
 from sadp.dp_optimizer import (
     ClipPolicy,
     SadpError,
-    clip_batch,
     clipped_grad_sum,
     noisy_average,
     sgd_step,
 )
-from sadp.models import ModelSpec, init_params, per_example_losses_grads
+from sadp.models import ModelSpec, init_params
+
+from oracles import clip_batch, per_example_losses_grads
 from test_models import ALL_SPECS
 
 ABADI = ClipPolicy("abadi", clip_norm=1.0)

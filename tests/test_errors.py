@@ -148,9 +148,6 @@ def test_each_error_message_is_raised_once():
 
 REPO = SRC.parent.parent
 CALLER_DIRS = ("src", "demos", "scripts", "perfbench")
-# the reference oracles tests compare clipped_grad_sum against; perfbench
-# names them only as strings, in its map of what to time
-ORACLES = {"per_example_losses_grads", "clip_batch"}
 
 
 def public_definitions(source: str) -> list[str]:
@@ -196,7 +193,7 @@ def test_every_public_name_has_a_caller_outside_tests():
         if path != SRC / "__init__.py"
     ))
     public = {name for path in SRC.glob("*.py") for name in public_definitions(path.read_text())}
-    assert sorted(public - used) == sorted(ORACLES)
+    assert sorted(public - used) == []
 
 
 def uncalled_private_functions(sources: list[str]) -> list[str]:

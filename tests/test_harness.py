@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import itertools
 import math
@@ -895,6 +896,66 @@ def test_trace_diff_script_names_a_missing_file(tmp_path):
     run = run_trace_diff(tmp_path / "a.csv", tmp_path / "missing.csv")
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.startswith("error: ") and str(tmp_path / "missing.csv") in run.stderr
+
+
+# the float tolerances of the reproducibility contract across BLAS thread
+# counts, fixed before the test first ran: eval_loss and the parameters are
+# relative, delta_E absolute (a difference of two energies, each within the
+# eval_loss tolerance); P = min(1, exp(-delta_E * Q)) moves at most Q times
+# as far as delta_E, and an accuracy by at most one evaluation row
+CROSS_THREAD_EVAL_LOSS_REL = 1e-6
+CROSS_THREAD_DELTA_E_ABS = 1e-5
+CROSS_THREAD_PARAMS_REL = 1e-8
+
+
+def test_traces_keep_the_trace_diff_contract_across_blas_thread_counts(tmp_path):
+    # class clusters as IDX pixels: float32 screening GEMMs, whose summation
+    # order OpenBLAS may change with its thread count
+    rng = np.random.default_rng(20221114)
+    n, side = 4000, 28
+    centers = rng.uniform(0.2, 0.8, size=(10, side * side))
+    labels = rng.integers(0, 10, size=n)
+    pixels = np.clip(centers[labels] + rng.normal(0.0, 1.0, size=(n, side * side)), 0.0, 1.0)
+    data.save_idx(data.LabeledDataset(pixels, labels), tmp_path / "images", tmp_path / "labels",
+                  rows=side, cols=side)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"model = softmax_regression\ndataset = idx\nidx_train_images = {tmp_path / 'images'}\n"
+        f"idx_train_labels = {tmp_path / 'labels'}\nlot_size = 128\nclip_norm = 0.1\n"
+        "eta = 2.0\neps_budget = none\nmax_iters = 300\nseed = 1\n"
+    )
+    root = pathlib.Path(__file__).parent.parent
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "sadp.cli", "train", "--config", str(cfg),
+             "--out", str(tmp_path / f"threads_{threads}")],
+            env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+    one, two = tmp_path / "threads_1", tmp_path / "threads_2"
+    run = run_trace_diff(one, two)
+    assert run.returncode == 0, run.stdout
+    assert "decision columns identical" in run.stdout
+    params = re.search(r"^final.params: (byte-equal|max relative difference (\S+))$", run.stdout, re.M)
+    assert params.group(1) == "byte-equal" or float(params.group(2)) <= CROSS_THREAD_PARAMS_REL
+
+    def columns(run_dir):
+        with open(run_dir / "trace.csv") as f:
+            rows = list(csv.DictReader(f))
+        floats = {name: np.array([float(r[name]) for r in rows])
+                  for name in ("Q", "delta_E", "P", "eval_loss", "eval_accuracy")}
+        return floats, sum(r["accepted"] == "false" for r in rows)
+
+    (a, rejected), (b, _) = columns(one), columns(two)
+    assert rejected > 0       # the screen has decisions to keep
+    np.testing.assert_array_equal(a["Q"], b["Q"])
+    np.testing.assert_allclose(a["eval_loss"], b["eval_loss"], rtol=CROSS_THREAD_EVAL_LOSS_REL, atol=0)
+    assert np.abs(a["delta_E"] - b["delta_E"]).max() <= CROSS_THREAD_DELTA_E_ABS
+    # each row's P used the Q before it: Q0 = 10 at the first candidate
+    q_used = np.concatenate([[10.0], a["Q"][:-1]])
+    assert np.all(np.abs(a["P"] - b["P"]) <= q_used * CROSS_THREAD_DELTA_E_ABS)
+    # one evaluation row's worth: the held-out carve is int(n * 0.1) rows
+    assert np.abs(a["eval_accuracy"] - b["eval_accuracy"]).max() <= 1 / int(n * 0.1)
 
 
 def test_train_and_compare_demo_prints_both_methods():

@@ -15,10 +15,11 @@ from sadp.models import (
     evaluate,
     init_params,
     load_checkpoint,
-    per_example_losses_grads,
     save_checkpoint,
     to_batch,
 )
+
+from oracles import per_example_losses_grads
 
 LINREG = ModelSpec("linear_regression", input_dim=3, output_dim=1)
 SOFTMAX2 = ModelSpec("softmax_regression", input_dim=4, output_dim=2)
