@@ -116,11 +116,25 @@ class AccountantState:
         curve.flags.writeable = False
         return curve
 
+    @cached_property
+    def _tail(self) -> np.ndarray:
+        """What the RDP-to-DP conversion adds to the RDP epsilon per order, before
+        the tight clamp at 0: log(1/delta)/(alpha-1) for the standard conversion
+        (the default, which published tables assume), log((alpha-1)/alpha) -
+        (log delta + log alpha)/(alpha-1) for the tight one."""
+        alpha = _ALPHAS
+        if self.tight_conversion:
+            log_delta_alpha = math.log(self.delta) + np.log(alpha)
+            return np.log((alpha - 1) / alpha) - log_delta_alpha / (alpha - 1)
+        return math.log(1.0 / self.delta) / (alpha - 1)
+
     def epsilons(self, tau) -> np.ndarray:
         """(epsilon, delta)-DP epsilon at each order after tau charged steps,
         tau * rdp_alpha plus the conversion's tail, clamped at 0 by the tight
-        conversion; tau is one count or one count per order."""
-        eps = tau * self.rdp + _tail(self.delta, self.tight_conversion)
+        conversion; tau is one count or one count per order. No charged step
+        costs 0 at any per-step cost, and a cost past float range is inf."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps = np.where(tau == 0, 0.0, tau * self.rdp) + self._tail
         return np.maximum(eps, 0.0) if self.tight_conversion else eps
 
     def epsilon(self, tau) -> float:
@@ -137,18 +151,6 @@ class PrivacySpend:
     delta: float
     best_alpha: int
     epsilon_computed: float
-
-
-def _tail(delta: float, tight: bool) -> np.ndarray:
-    """What the RDP-to-DP conversion adds to the RDP epsilon at each order of
-    the grid, before the tight conversion's clamp at 0: log(1/delta)/(alpha-1)
-    for the standard conversion, log((alpha-1)/alpha) - (log delta +
-    log alpha)/(alpha-1) for the tight one. The standard conversion is the
-    default, and what published accuracy/budget tables assume."""
-    alpha = _ALPHAS
-    if tight:
-        return np.log((alpha - 1) / alpha) - (math.log(delta) + np.log(alpha)) / (alpha - 1)
-    return math.log(1.0 / delta) / (alpha - 1)
 
 
 def spend(state: AccountantState, tau: int, computed: int | None = None) -> PrivacySpend:
@@ -185,8 +187,7 @@ def max_steps_within(state: AccountantState, eps_budget: float) -> int:
             f"budget {eps_budget} does not cover a single charged iteration "
             f"(epsilon {eps_one:.6g} at q={state.q:.6g}, sigma={state.sigma})"
         )
-    rdp = state.rdp
-    tail = _tail(state.delta, state.tight_conversion)
+    rdp, tail = state.rdp, state._tail
     if np.any((rdp == 0.0) & (tail <= eps_budget)):
         raise SadpError(
             f"the per-step cost at q={state.q:.6g}, sigma={state.sigma} is 0, "

@@ -168,13 +168,12 @@ def poisson_sample(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
 def synth_linear(
     n: int, weights: np.ndarray, noise_std: float, seed: int
 ) -> LabeledDataset:
-    """Targets <weights, x> + N(0, noise_std^2), x uniform on [-1, 1]^d."""
-    if noise_std < 0:
-        raise SadpError("noise_std must be >= 0")
+    """Targets <weights, x> + N(0, noise_std^2), x uniform on [-1, 1]^d; the
+    config read checks noise_std >= 0, and numpy rejects a negative one."""
     weights = np.asarray(weights, dtype=np.float64)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n, len(weights)))
-    y = X @ weights + rng.normal(0.0, noise_std, size=n) if noise_std > 0 else X @ weights
+    y = X @ weights + rng.normal(0.0, noise_std, size=n)
     return LabeledDataset(features=X, labels=np.asarray(y, dtype=np.float64))
 
 

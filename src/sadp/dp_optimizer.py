@@ -90,5 +90,6 @@ def noisy_average(
 
 def sgd_step(w: np.ndarray, g_tilde: np.ndarray, eta: float) -> np.ndarray:
     """One descent step w - eta * g, for float64 vectors of one shape and the
-    eta > 0 the config read checked."""
-    return w - eta * g_tilde
+    eta > 0 the config read checked; an overflow is inf, which evaluate rejects."""
+    with np.errstate(over="ignore"):
+        return w - eta * g_tilde

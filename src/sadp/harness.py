@@ -24,7 +24,7 @@ from .errors import SadpError
 EPS_SENTINEL_ITERS = 10_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     method: str = "sa_dpsgd"                 # sa_dpsgd | dpsgd
     model: str = models.SOFTMAX_REGRESSION
@@ -74,11 +74,19 @@ class TrainConfig:
             raise SadpError(f"unknown eval_set {self.eval_set!r}")
         if self.dataset not in ("idx", "csv", "synth_linear", "synth_blobs"):
             raise SadpError(f"unknown dataset {self.dataset!r}")
+        needed = {"idx": ["idx_train_images", "idx_train_labels"], "csv": ["csv_path"]}
+        if self.idx_test_images or self.idx_test_labels:
+            needed["idx"] += ["idx_test_images", "idx_test_labels"]   # both files or neither
+        for key in needed.get(self.dataset, []):
+            if not getattr(self, key):
+                raise SadpError(f"dataset = {self.dataset} needs {key}, which is not set")
         if self.eta <= 0:
             raise SadpError("eta must be > 0")
         for name in ("lot_size", "max_iters", "synth_n", "blob_classes", "blob_dim"):
             if getattr(self, name) < 1:
                 raise SadpError(f"{name} must be >= 1")
+        if self.synth_noise_std < 0:
+            raise SadpError("noise_std must be >= 0")
         if self.seed < 0 or self.synth_seed < 0:
             raise SadpError("seed and synth_seed must be >= 0")
         if not 0.0 < self.eval_fraction < 1.0:
@@ -90,6 +98,9 @@ class TrainConfig:
         # the types a run builds hold their own rules: each raises SadpError
         # on a bad value
         models.ModelSpec(self.model, 1, 1, tuple(self.layer_widths), self.activation)
+        # only synth_linear has float targets; the readers and synth_blobs give classes
+        if self.dataset == "synth_linear" and self.model != models.LINEAR_REGRESSION:
+            raise SadpError("regression targets require model=linear_regression")
         dp_optimizer.ClipPolicy(self.clip_kind, self.clip_norm, self.gamma)
         accountant.AccountantState(1.0, self.sigma, self.delta, self.tight_conversion)
         # the noise scale sigma * C, positive factors whose product can underflow
@@ -130,10 +141,7 @@ def parse_config_text(text: str) -> TrainConfig:
             kwargs[key] = _parse_value(hints[key], value)
         except ValueError as exc:
             raise SadpError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-    try:
-        return TrainConfig(**kwargs)
-    except TypeError as exc:
-        raise SadpError(str(exc)) from exc
+    return TrainConfig(**kwargs)
 
 
 def load_config(path) -> TrainConfig:
@@ -169,14 +177,11 @@ def _prepare(config: TrainConfig):
     bytes; the evaluation rows, carved from them, live on only as the Batch,
     float32 exactly for IDX pixels (in [0, 1] once widened), else float64. The
     test split, a LabeledDataset or None, is the IDX test pair as read, the CSV
-    rows carved off first, or the generator's next seed. Every label the run
-    reads must index the model's outputs, [0, training class count)."""
-    needed = {"idx": ["idx_train_images", "idx_train_labels"], "csv": ["csv_path"]}
-    if config.idx_test_images or config.idx_test_labels:
-        needed["idx"] += ["idx_test_images", "idx_test_labels"]   # both files or neither
-    for key in needed.get(config.dataset, []):
-        if not getattr(config, key):
-            raise SadpError(f"dataset = {config.dataset} needs {key}, which is not set")
+    rows carved off first, or the generator's next seed. The config read has
+    checked every rule the config alone decides; this checks what the data
+    decides: the split sizes, lot_size against the training rows, the feature
+    widths, and that every label a classifier reads indexes its outputs,
+    [0, training class count)."""
     test = None
     if config.dataset == "csv":
         dataset = data.load_csv(config.csv_path)
@@ -217,15 +222,11 @@ def _prepare(config: TrainConfig):
         raise SadpError(f"lot_size {config.lot_size} exceeds the {len(train_rows)} training rows")
     if dataset.dim < 1:
         raise SadpError("the dataset has no feature columns")
-    train_labels = dataset.labels[train_rows]
-    regression = not np.issubdtype(train_labels.dtype, np.integer)
-    if config.model == models.LINEAR_REGRESSION or regression:
-        if config.model != models.LINEAR_REGRESSION:
-            raise SadpError("regression targets require model=linear_regression")
+    if config.model == models.LINEAR_REGRESSION:
         spec = models.ModelSpec(models.LINEAR_REGRESSION, dataset.dim, 1)
     else:
         spec = models.ModelSpec(
-            config.model, dataset.dim, int(train_labels.max()) + 1,
+            config.model, dataset.dim, int(dataset.labels[train_rows].max()) + 1,
             layer_widths=tuple(config.layer_widths), activation=config.activation,
         )
         # every row read: the dataset's (training, evaluation and carved test
@@ -268,8 +269,7 @@ def train(config: TrainConfig):
     clip_policy = dp_optimizer.ClipPolicy(config.clip_kind, config.clip_norm, config.gamma)
     noise_std = config.sigma * config.clip_norm
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy, cur_acc = models.evaluate(spec, w, eval_batch)
+    energy, cur_acc = models.evaluate(spec, w, eval_batch)
     _check_energy(energy, "at the initial parameters")
 
     # the acceptance chain: t candidates, tau accepted, mu rejected in a
@@ -286,9 +286,8 @@ def train(config: TrainConfig):
         g_tilde = dp_optimizer.noisy_average(clipped_sum, noise_std, config.lot_size, noise_rng)
         # overflow surfaces as non-finite parameters (evaluate raises) or a
         # non-finite energy (rejected, or raised below once applied)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w_new = dp_optimizer.sgd_step(w, g_tilde, config.eta)
-            new_energy, new_acc = models.evaluate(spec, w_new, eval_batch)
+        w_new = dp_optimizer.sgd_step(w, g_tilde, config.eta)
+        new_energy, new_acc = models.evaluate(spec, w_new, eval_batch)
         delta_e = new_energy - energy
 
         if config.method == "sa_dpsgd":
@@ -312,8 +311,7 @@ def train(config: TrainConfig):
 
     spend = accountant.spend(acct, tau, computed=t)
     if test is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            test = models.evaluate(spec, w, models.to_batch(spec, test.features, test.labels))
+        test = models.evaluate(spec, w, models.to_batch(spec, test.features, test.labels))
     return w, spend, records, test
 
 

@@ -204,15 +204,14 @@ def evaluate(spec: ModelSpec, w: np.ndarray, batch: Batch) -> tuple[float, float
     """(mean loss, accuracy) on a non-empty Batch; accuracy None for regression.
 
     The GEMMs run in the Batch's dtype, float32 only for IDX pixels, the loss
-    on their outputs widened to float64. A float32 Batch whose loss is not
-    finite (weights past float32's range) is redone in float64 from its inputs."""
-    exact = batch.inputs.dtype == np.float64
-    quiet = None if exact else "ignore"       # None leaves the caller's setting
-    with np.errstate(over=quiet, invalid=quiet):
+    on their outputs widened to float64. Overflow is quiet: every caller
+    checks the loss, which is then not finite. A float32 Batch whose loss is
+    not finite (weights past float32's range) is redone in float64 from its inputs."""
+    with np.errstate(over="ignore", invalid="ignore"):
         out = _forward(spec, w, batch.inputs)[0].astype(np.float64, copy=False)
         losses, top = _losses(spec, out, batch)
         loss = float(np.mean(losses))
-    if not (exact or math.isfinite(loss)):
+    if not (batch.inputs.dtype == np.float64 or math.isfinite(loss)):
         return evaluate(spec, w, replace(batch, inputs=batch.inputs.astype(np.float64)))
     if top is None:
         return loss, None

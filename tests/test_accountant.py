@@ -205,6 +205,17 @@ class TestConversions:
             got = state.epsilons(taus)
             assert list(got) == [state.epsilons(t)[i] for i, t in enumerate(taus)]
 
+    def test_no_charged_step_costs_nothing_at_any_per_step_cost(self):
+        # at tau = 0 epsilon is the conversion's tail alone, also where the
+        # per-step cost is infinite (0 * inf) or its multiple overflows
+        for tight in (False, True):
+            want = AccountantState(0.5, 1.0, 1e-5, tight).epsilons(0)
+            for q, sigma in ((1.0, 1e-300), (0.5, 1e-154)):
+                state = AccountantState(q, sigma, 1e-5, tight)
+                assert list(state.epsilons(0)) == list(want)
+                assert list(state.epsilons(np.zeros(len(DEFAULT_ALPHA_GRID)))) == list(want)
+                assert state.epsilon(10) == math.inf
+
     def test_rejects_bad_delta(self):
         for delta in (0.0, 1.0, -1e-5, math.nan):
             for tight in (False, True):

@@ -252,12 +252,15 @@ UNSET_PATHS = {
 
 @pytest.mark.parametrize("case", list(UNSET_PATHS))
 def test_unset_data_path_exits_2_naming_the_key(tmp_path, capsys, case):
+    # the config read fails, before either command makes --out
     text, key = UNSET_PATHS[case]
     cfg = write_cfg(tmp_path, LABELED_CFG + text)
-    err = assert_exits_2_without_traceback(
-        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    )
-    assert err == f"error: {text.splitlines()[0]} needs {key}, which is not set\n"
+    for argv in (
+        ["train", "--config", str(cfg)], ["compare", "--configs", str(cfg), "--seeds", "0"]
+    ):
+        err = assert_exits_2_without_traceback(capsys, [*argv, "--out", str(tmp_path / "out")])
+        assert err == f"error: {text.splitlines()[0]} needs {key}, which is not set\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_empty_idx_test_file_exits_2(tmp_path, capsys):
@@ -610,6 +613,24 @@ def test_privacy_at_full_batch_and_tiny_sigma_is_infinite(capsys):
         warnings.simplefilter("error")
         assert cli.main(argv) == 0
     assert capsys.readouterr().out.startswith("epsilon = inf at alpha = ")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["--q", "1", "--sigma", "1e-300", "--tau", "0"], "epsilon = 0.182745 at alpha = 64 "),
+        (["--q", "0.5", "--sigma", "1e-154", "--tau", "10"], "epsilon = inf at alpha = 2 "),
+    ],
+    ids=["no_charged_step_at_infinite_cost", "overflowing_cost"],
+)
+def test_privacy_at_infinite_or_huge_per_step_cost(capsys, argv, want):
+    # no charged step costs 0, and tau times a finite per-step cost past
+    # float range is inf: neither warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["privacy", *argv, "--delta", "1e-5"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(want) and err == ""
 
 
 def test_budget_at_full_batch_and_tiny_sigma_exits_3(tmp_path, capsys):

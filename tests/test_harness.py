@@ -15,6 +15,7 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sadp import accountant, cli, data, harness, models
 from sadp.annealer import acceptance_probability
@@ -29,6 +30,7 @@ from sadp.harness import (
     parse_config_text,
     train,
 )
+from test_cli import UNSET_PATHS
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
@@ -66,7 +68,28 @@ BAD_CONFIGS = {
     "q0 = 0": r"^Q0 must be > 0$",
     "mu0 = 0": r"^mu0 must be >= 1$",
     "sigma = 1e-200\nclip_norm = 1e-200": r"^sigma \* clip_norm = 0.0 must be > 0$",
+    # rules of the data settings, decided by the config alone: no file is opened
+    "dataset = synth_linear": r"^regression targets require model=linear_regression$",
+    "synth_noise_std = -0.1": r"^noise_std must be >= 0$",
+    **{
+        text: rf"^{re.escape(text.splitlines()[0])} needs {key}, which is not set$"
+        for text, key in UNSET_PATHS.values()
+    },
 }
+
+# the values a config line may hold: arbitrary one-line text (no character
+# str.splitlines breaks at), and text of each field type's form
+ONE_LINE = st.text(st.characters(exclude_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+CONFIG_VALUES = st.one_of(
+    ONE_LINE,
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(allow_nan=False).map(repr), max_size=3).map(",".join),
+    st.sampled_from([
+        "none", "true", "false", "idx", "csv", "synth_linear", "synth_blobs", "dpsgd",
+        "linear_regression", "softmax_regression", "mlp", "rectifier", "auto_s", "held_out",
+    ]),
+)
 
 
 class TestConfigParsing:
@@ -115,6 +138,35 @@ class TestConfigParsing:
         keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
         assert len(keys) == len(set(keys))
         assert set(keys) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)]),
+                  CONFIG_VALUES),
+        max_size=4,
+    ))
+    def test_config_text_gives_a_config_or_a_sadp_error(self, lines):
+        text = "".join(f"{key} = {value}\n" for key, value in lines)
+        try:
+            config = parse_config_text(text)
+        except SadpError:
+            return
+        assert isinstance(config, TrainConfig)
+
+    def test_a_config_cannot_change_after_its_check(self):
+        cfg = TrainConfig()
+        for f in dataclasses.fields(TrainConfig):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+        # a changed copy is checked as a new config
+        for change, message in [
+            ({"eta": -1.0}, r"^eta must be > 0$"),
+            ({"max_iters": 0}, r"^max_iters must be >= 1$"),
+            ({"mu0": 0, "q0": -5.0}, r"^Q0 must be > 0$"),
+            ({"dataset": "csv"}, r"^dataset = csv needs csv_path, which is not set$"),
+        ]:
+            with pytest.raises(SadpError, match=message):
+                dataclasses.replace(cfg, **change)
 
     def test_clamp_tau_floor_is_an_unknown_key(self):
         # Q = Q0 * tau has no opt-out: the old floor on tau is not a key
@@ -473,8 +525,9 @@ def assert_widens_to(rows, floats):
 
 
 # a regression model takes any integer labels as targets, so a split's
-# evaluation rows need no label in the training rows' class range
-SPLIT_CFG = TrainConfig(dataset="idx", model="linear_regression", lot_size=1)
+# evaluation rows need no label in the training rows' class range; each use
+# sets its dataset with the data paths that dataset needs
+SPLIT_CFG = TrainConfig(model="linear_regression", lot_size=1)
 
 
 class TestIdxSplits:
@@ -484,7 +537,7 @@ class TestIdxSplits:
     def test_held_out_training_rows_stay_bytes(self, tmp_path, n, eval_fraction, seed):
         images, labels = write_random_idx(tmp_path / "train", n, 12, seed)
         cfg = dataclasses.replace(
-            SPLIT_CFG, idx_train_images=images, idx_train_labels=labels,
+            SPLIT_CFG, dataset="idx", idx_train_images=images, idx_train_labels=labels,
             eval_fraction=eval_fraction, seed=seed,
         )
         dataset, train_rows, _, batch, test = harness._prepare(cfg)
@@ -515,7 +568,7 @@ class TestIdxSplits:
         train_files = write_random_idx(tmp_path / "train", 50, 12, seed)
         test_files = write_random_idx(tmp_path / "test", 20, 12, seed + 1)
         cfg = dataclasses.replace(
-            SPLIT_CFG, seed=seed,
+            SPLIT_CFG, dataset="idx", seed=seed,
             idx_train_images=train_files[0], idx_train_labels=train_files[1],
             idx_test_images=test_files[0], idx_test_labels=test_files[1],
         )
