@@ -13,6 +13,7 @@ budget inverts in closed form, order by order. An AccountantState fixes
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,6 +164,8 @@ def spend(state: AccountantState, tau: int, computed: int | None = None) -> Priv
     """
     if tau < 0:
         raise SadpError(f"tau={tau} must be >= 0")
+    if tau > sys.float_info.max:
+        raise SadpError(f"tau={tau} is past float range")
     eps = state.epsilons(tau)
     best = int(np.argmin(eps))
     return PrivacySpend(

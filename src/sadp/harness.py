@@ -172,16 +172,16 @@ TRACE_COLUMNS = list(IterationRecord._fields)
 
 def _prepare(config: TrainConfig):
     """Read, carve and check one run's data: returns (dataset as read, its
-    training rows, the ModelSpec, the energy-evaluation Batch, the test split).
-    The training rows are an index into the dataset, so IDX pixels stay mapped
-    bytes; the evaluation rows, carved from them, live on only as the Batch,
-    float32 exactly for IDX pixels (in [0, 1] once widened), else float64. The
-    test split, a LabeledDataset or None, is the IDX test pair as read, the CSV
-    rows carved off first, or the generator's next seed. The config read has
-    checked every rule the config alone decides; this checks what the data
-    decides: the split sizes, lot_size against the training rows, the feature
-    widths, and that every label a classifier reads indexes its outputs,
-    [0, training class count)."""
+    training rows, ModelSpec, energy-evaluation Batch, test split,
+    AccountantState, charged-step cap or None). The training rows index the
+    dataset, so IDX pixels stay mapped bytes; the evaluation rows live on only
+    as the Batch, float32 exactly for IDX pixels, else float64. The test split
+    is the IDX test pair as read, the CSV rows carved off first, the
+    generator's next seed, or None. This is the one gate for what the data
+    decides, and nothing it checks depends on the seed: split sizes, lot_size
+    against the training rows, feature widths, labels (one class per label of
+    any training-data row, so a negative label or a test-split label at or
+    above that count fails) and the budget (BudgetInfeasibleError)."""
     test = None
     if config.dataset == "csv":
         dataset = data.load_csv(config.csv_path)
@@ -226,20 +226,21 @@ def _prepare(config: TrainConfig):
         spec = models.ModelSpec(models.LINEAR_REGRESSION, dataset.dim, 1)
     else:
         spec = models.ModelSpec(
-            config.model, dataset.dim, int(dataset.labels[train_rows].max()) + 1,
+            config.model, dataset.dim, int(dataset.labels.max()) + 1,
             layer_widths=tuple(config.layer_widths), activation=config.activation,
         )
-        # every row read: the dataset's (training, evaluation and carved test
-        # rows) and the test split's
         for labels in (dataset.labels, None if test is None else test.labels):
             if labels is not None and np.any((labels < 0) | (labels >= spec.output_dim)):
                 raise SadpError(
-                    f"class labels must lie in [0, {spec.output_dim}), the training set's range"
+                    f"class labels must lie in [0, {spec.output_dim}), the training data's range"
                 )
+    q, budget = config.lot_size / len(train_rows), config.eps_budget
+    acct = accountant.AccountantState(q, config.sigma, config.delta, config.tight_conversion)
+    max_charged = None if budget is None else accountant.max_steps_within(acct, budget)
     dtype = np.float32 if config.dataset == "idx" else np.float64
     return dataset, train_rows, spec, models.to_batch(
         spec, dataset.features[eval_rows], dataset.labels[eval_rows], dtype
-    ), test
+    ), test, acct, max_charged
 
 
 def train(config: TrainConfig):
@@ -251,14 +252,10 @@ def train(config: TrainConfig):
     held-out training rows; with method=dpsgd every candidate is applied, so
     tau = t. test is the final w's (loss, accuracy) on the test split, scored
     once after the last candidate in float64 (accuracy None for regression),
-    or None for a run without a test split.
+    or None for a run without a test split. Every check that can stop the
+    run, the budget's included, runs in _prepare, before the first candidate.
     """
-    dataset, train_rows, spec, eval_batch, test = _prepare(config)
-    q = config.lot_size / len(train_rows)
-    acct = accountant.AccountantState(q, config.sigma, config.delta, config.tight_conversion)
-    max_charged = None
-    if config.eps_budget is not None:
-        max_charged = accountant.max_steps_within(acct, config.eps_budget)
+    dataset, train_rows, spec, eval_batch, test, acct, max_charged = _prepare(config)
 
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     init_rng, sample_rng, noise_rng, decide_rng = (
@@ -279,7 +276,7 @@ def train(config: TrainConfig):
     eps_tau, epsilon = None, math.nan   # epsilon_so_far changes only with tau
     while t < config.max_iters and (max_charged is None or tau < max_charged):
         t += 1
-        rows = train_rows[data.poisson_sample(len(train_rows), q, sample_rng)]
+        rows = train_rows[data.poisson_sample(len(train_rows), acct.q, sample_rng)]
         clipped_sum = dp_optimizer.clipped_grad_sum(
             spec, w, dataset.features[rows], dataset.labels[rows], clip_policy
         )
@@ -343,16 +340,15 @@ def compare(configs, seeds):
     Returns a list of dicts with mean/std of the final held-out accuracy and
     loss (the split the screen selects by), the final test accuracy and loss
     (NaN for runs without a test split), final epsilon over the tau charged
-    steps and final epsilon over all t computed candidates.
+    steps and final epsilon over all t computed candidates. Every per-seed
+    config is built, and each config's data and budget checked once, before
+    the first run: whether a run can start never depends on its seed.
     """
     if not configs or not seeds:
         raise SadpError("need at least one config and one seed")
-    # every per-seed config, and the data each run loads, is checked before
-    # the first run
     runs = [[dataclasses.replace(config, seed=int(seed)) for seed in seeds] for config in configs]
-    for per_seed in runs:
-        for run in per_seed:
-            _prepare(run)
+    for config in configs:
+        _prepare(config)
     summaries = []
     names = ("accuracy", "loss", "test_loss", "test_accuracy", "epsilon", "epsilon_computed")
     for i, (config, per_seed) in enumerate(zip(configs, runs)):

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sadp import accountant, cli, errors, harness
+from sadp import accountant, cli, errors, harness, models
 from sadp.data import LabeledDataset, save_idx
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -458,9 +458,8 @@ def test_compare_rejects_every_bad_input_before_its_first_run(
     assert calls == []
 
 
-def test_compare_checks_every_run_before_the_first(tmp_path, capsys, monkeypatch):
-    # a lot_size above a later config's training rows needs that config's
-    # data loaded; compare loads and checks it before running the first one
+def counted_train(monkeypatch):
+    """The configs harness.train is called with, in order; each still runs."""
     calls, train = [], harness.train
 
     def counted(config):
@@ -468,29 +467,58 @@ def test_compare_checks_every_run_before_the_first(tmp_path, capsys, monkeypatch
         return train(config)
 
     monkeypatch.setattr(harness, "train", counted)
-    big = (CONFIGS / "synth_linear.cfg").read_text() + "synth_n = 100\nlot_size = 512\n"
+    return calls
+
+
+MALFORMED_CSV = "a,b,label\n1.0,2.0,0\n1.0,2.0\n"   # its second row is ragged
+
+
+@pytest.mark.parametrize(
+    "override, code, message",
+    [("synth_n = 100\nlot_size = 512\n", errors.SadpError.exit_code,
+      "error: lot_size 512 exceeds the 90 training rows\n"),
+     ("eps_budget = 0.001\n", errors.BudgetInfeasibleError.exit_code,
+      "error: budget 0.001 does not cover a single charged iteration"),
+     ("dataset = csv\ncsv_path = {tmp}/bad.csv\n", errors.DataFileError.exit_code,
+      "error: {tmp}/bad.csv: ")],
+    ids=["lot_size_above_training_rows", "infeasible_budget", "malformed_csv"],
+)
+def test_compare_checks_every_run_before_the_first(
+    tmp_path, capsys, monkeypatch, override, code, message
+):
+    # a config after a valid one that cannot run, by its data or its budget:
+    # compare checks each config once, before the first run
+    calls = counted_train(monkeypatch)
+    (tmp_path / "bad.csv").write_text(MALFORMED_CSV)
+    later = (CONFIGS / "synth_linear.cfg").read_text() + override.format(tmp=tmp_path)
     argv = ["compare", "--configs", str(CONFIGS / "synth_linear.cfg"),
-            str(write_cfg(tmp_path, big, name="big.cfg")), "--seeds", "0,1", "--out", str(tmp_path)]
-    assert cli.main(argv) == errors.SadpError.exit_code
-    assert capsys.readouterr().err == "error: lot_size 512 exceeds the 90 training rows\n"
+            str(write_cfg(tmp_path, later, name="later.cfg")), "--seeds", "0,1,2",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(tmp=tmp_path)) and err.count("\n") == 1
     assert calls == []
 
 
-def test_compare_checks_each_seeds_carve_before_the_first_run(tmp_path, capsys, monkeypatch):
-    # the model's class count comes from the training rows' labels, so a run
-    # is valid or not by its seed: seed 0 keeps the one class-2 row (row 17)
-    # in training, seed 1 carves it off, and compare must check both carves
+def test_a_class_only_in_held_out_rows_trains_at_every_seed(tmp_path, capsys, monkeypatch):
+    # the model's class count comes from the labels of every row of the
+    # training data, so whether a run can start never depends on its seed:
+    # seed 0 keeps the one class-2 row (row 17) in training, seed 1 carves it
+    # off, and both train a 3-class softmax on the 2 features
     rows = [f"{i % 3}.0,{(i * 7) % 5}.0,{2 if i == 17 else i % 2}" for i in range(40)]
     (tmp_path / "data.csv").write_text("a,b,label\n" + "\n".join(rows) + "\n")
     cfg = write_cfg(tmp_path, LABELED_CFG + f"dataset = csv\ncsv_path = {tmp_path / 'data.csv'}\n")
-    assert cli.main(["train", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    calls = []
-    monkeypatch.setattr(harness, "train", calls.append)
-    argv = ["compare", "--configs", str(cfg), "--seeds", "0,1", "--out", str(tmp_path)]
-    err = assert_exits_2_without_traceback(capsys, argv)
-    assert err == "error: class labels must lie in [0, 2), the training set's range\n"
-    assert calls == []
+    config = harness.load_config(cfg)
+    for seed, kept in ((0, True), (1, False)):
+        train_rows = harness._prepare(dataclasses.replace(config, seed=seed))[1]
+        assert (17 in train_rows) == kept
+        out = tmp_path / f"seed{seed}"
+        assert cli.main(["train", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+        assert len(models.load_checkpoint(out / "final.params")) == (2 + 1) * 3
+    calls = counted_train(monkeypatch)
+    argv = ["compare", "--configs", str(cfg), "--seeds", "0,1", "--out", str(tmp_path / "cmp")]
+    assert cli.main(argv) == 0
+    assert [c.seed for c in calls] == [0, 1]
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
@@ -593,6 +621,16 @@ def test_privacy_rejects_negative_tau(capsys):
     argv = ["privacy", "--q", "0.5", "--sigma", "1.0", "--delta", "1e-5", "--tau", "-1"]
     assert cli.main(argv) == errors.SadpError.exit_code
     assert capsys.readouterr().err == "error: tau=-1 must be >= 0\n"
+
+
+def test_privacy_rejects_tau_past_float_range(capsys):
+    argv = ["privacy", "--q", "0.01", "--sigma", "1.1", "--delta", "1e-5", "--tau"]
+    assert cli.main([*argv, str(10**320)]) == errors.SadpError.exit_code
+    assert capsys.readouterr().err == f"error: tau={10**320} is past float range\n"
+    # a tau in float range prints a finite epsilon
+    assert cli.main([*argv, str(10**20)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and np.isfinite(float(out.split()[2]))
 
 
 # 45 training rows after the held-out split and lot_size 45: q = 1, where a

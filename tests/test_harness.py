@@ -538,9 +538,9 @@ class TestIdxSplits:
         images, labels = write_random_idx(tmp_path / "train", n, 12, seed)
         cfg = dataclasses.replace(
             SPLIT_CFG, dataset="idx", idx_train_images=images, idx_train_labels=labels,
-            eval_fraction=eval_fraction, seed=seed,
+            eval_fraction=eval_fraction, seed=seed, eps_budget=None,
         )
-        dataset, train_rows, _, batch, test = harness._prepare(cfg)
+        dataset, train_rows, _, batch, test, _, _ = harness._prepare(cfg)
         # no test pair is given, so the run has no test split
         assert test is None
         # the training split is a row index into the mapped bytes as read
@@ -581,7 +581,7 @@ class TestIdxSplits:
             return read_idx(*paths)
 
         monkeypatch.setattr(data, "read_idx", recorded)
-        dataset, train_rows, _, batch, test = harness._prepare(cfg)
+        dataset, train_rows, _, batch, test, _, _ = harness._prepare(cfg)
         assert reads == [train_files, test_files]
         # the training split and the held-out Batch are the training pair's
         # rows; the test split is the test pair's bytes as read, unwidened
@@ -603,7 +603,7 @@ class TestIdxSplits:
         cfg = TrainConfig(dataset="idx", idx_train_images=images, idx_train_labels=labels)
         tracemalloc.start()
         try:
-            _, train_rows, _, batch, _ = harness._prepare(cfg)
+            _, train_rows, _, batch, _, _, _ = harness._prepare(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -735,8 +735,8 @@ class TestMappedIndexExactness:
             return data.LabeledDataset(np.array(ds.features), ds.labels)
 
         def copied_out(config):
-            dataset, train_rows, spec, eval_batch, test = prepare(config)
-            return rows_of(dataset, train_rows), np.arange(len(train_rows)), spec, eval_batch, test
+            dataset, train_rows, *rest = prepare(config)
+            return rows_of(dataset, train_rows), np.arange(len(train_rows)), *rest
 
         monkeypatch.setattr(data, "read_idx", in_memory)
         monkeypatch.setattr(harness, "_prepare", copied_out)
@@ -819,7 +819,7 @@ class TestFloat32Screening:
             dataset="synth_linear", model="linear_regression", synth_n=1000,
             synth_weights=(2.0, -3.0), synth_noise_std=0.001, synth_seed=3, lot_size=8,
         )
-        dataset, train_rows, spec, batch, _ = harness._prepare(cfg)
+        dataset, train_rows, spec, batch, _, _, _ = harness._prepare(cfg)
         X, y = dataset.features, dataset.labels
         w, *_ = np.linalg.lstsq(np.column_stack([X, np.ones(len(X))])[train_rows], y[train_rows])
         held = data.split(dataset.n, cfg.eval_fraction, cfg.seed)[1]
