@@ -160,9 +160,13 @@ def load_csv(path) -> LabeledDataset:
 
 
 def poisson_sample(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Sorted indices of 0..n-1, each included independently with
-    probability q in (0, 1], as AccountantState checks it."""
-    return np.flatnonzero(rng.random(n) < q)
+    """Sorted indices of 0..n-1, each included independently with probability
+    q in (0, 1]: a size k ~ Binomial(n, q), then a uniform k-subset, the same
+    law, as every k-subset is equally likely under independent inclusion.
+    numpy's choice takes O(k) by Floyd's algorithm when n > 10,000 and k <= n/50,
+    else O(n) by a tail shuffle: ~1 ms at q = 1, n = 60,000, small beside its gradients."""
+    k = rng.binomial(n, q)
+    return np.sort(rng.choice(n, k, replace=False, shuffle=False)).astype(np.intp, copy=False)
 
 
 def synth_linear(

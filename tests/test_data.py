@@ -1,5 +1,6 @@
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,15 +118,30 @@ class TestLoadIdx:
         assert ds.features.min() == 0.0 and ds.features.max() == 1.0
 
 
-class TestPoissonSample:
-    def test_full_inclusion(self):
-        idx = poisson_sample(100, 1.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(idx, np.arange(100))
+# (n, q) in each of numpy's two subset regimes: Floyd's algorithm for
+# n > 10,000 and k <= n/50, a tail shuffle of arange(n) otherwise
+FLOYD, TAIL_SHUFFLE = (20_000, 0.01), (50, 0.2)
 
-    def test_sorted_and_in_range(self):
-        idx = poisson_sample(1000, 0.3, np.random.default_rng(1))
-        assert np.all(np.diff(idx) > 0)
-        assert idx.min() >= 0 and idx.max() < 1000
+
+class TestPoissonSample:
+    @pytest.mark.parametrize("n", [1, 100, 20_000])
+    def test_full_inclusion(self, n):
+        idx = poisson_sample(n, 1.0, np.random.default_rng(0))
+        assert idx.dtype == np.intp
+        np.testing.assert_array_equal(idx, np.arange(n))
+
+    def test_empty_population_gives_an_empty_index(self):
+        idx = poisson_sample(0, 0.5, np.random.default_rng(0))
+        assert idx.dtype == np.intp and idx.shape == (0,)
+
+    @pytest.mark.parametrize("n, q", [FLOYD, TAIL_SHUFFLE, (1000, 0.3)])
+    def test_sorted_and_in_range(self, n, q):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            idx = poisson_sample(n, q, rng)
+            assert idx.dtype == np.intp
+            assert np.all(np.diff(idx) > 0)
+            assert len(idx) == 0 or (idx[0] >= 0 and idx[-1] < n)
 
     def test_tiny_rate_expected_size(self):
         rng = np.random.default_rng(2)
@@ -140,6 +156,31 @@ class TestPoissonSample:
         tol = 3 * np.sqrt(n * q * (1 - q) / draws)
         assert abs(np.mean(sizes) - b) <= tol
 
+    @pytest.mark.parametrize("n, q", [FLOYD, TAIL_SHUFFLE, (12_800, 0.005)])
+    def test_lot_sizes_are_binomial(self, n, q):
+        # mean within 5 standard errors of nq; the sample variance within 5
+        # of its standard errors, sqrt(2 / draws) relative, of nq(1-q)
+        draws = 4000
+        rng = np.random.default_rng(5)
+        sizes = np.array([len(poisson_sample(n, q, rng)) for _ in range(draws)])
+        var = n * q * (1 - q)
+        assert abs(sizes.mean() - n * q) <= 5 * np.sqrt(var / draws)
+        assert abs(sizes.var(ddof=1) / var - 1) <= 5 * np.sqrt(2 / draws)
+
+    @pytest.mark.parametrize("n, q", [FLOYD, TAIL_SHUFFLE])
+    def test_each_row_is_included_at_rate_q(self, n, q):
+        # rows counted in 50 equal blocks; within a lot rows join
+        # independently, so a block's count has variance draws * block * q(1-q)
+        draws, blocks = 1000, 50
+        rng = np.random.default_rng(6)
+        hits = np.zeros(n)
+        for _ in range(draws):
+            hits[poisson_sample(n, q, rng)] += 1
+        block = n // blocks
+        per_block = hits.reshape(blocks, block).sum(axis=1)
+        sd = np.sqrt(draws * block * q * (1 - q))
+        assert np.max(np.abs(per_block - draws * block * q)) <= 5 * sd
+
     def test_pairwise_inclusion_independence(self):
         n, draws = 20, 4000
         rng = np.random.default_rng(4)
@@ -150,13 +191,18 @@ class TestPoissonSample:
         off_diag = corr[~np.eye(n, dtype=bool)]
         assert np.max(np.abs(off_diag)) < 4 / np.sqrt(draws)
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-    def test_mask_matches_uniform_threshold(self, seed):
-        # the stream must equal uniform(size=n) < q draw for draw
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for n, q in ((0, 0.5), (1, 0.5), (17, 0.3), (1000, 0.05), (16000, 0.004)):
-            idx = poisson_sample(n, q, rng)
-            np.testing.assert_array_equal(idx, np.flatnonzero(ref.uniform(size=n) < q))
+    def test_a_small_lot_allocates_for_the_lot_not_the_population(self):
+        # numpy reports its buffers to tracemalloc; n uniforms and their
+        # mask would take about 90 MB at n = 10**7
+        rng = np.random.default_rng(8)
+        tracemalloc.start()
+        try:
+            idx = poisson_sample(10**7, 1e-6, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(idx) < 100
+        assert peak < 2**20
 
 
 class TestSynthLinear:

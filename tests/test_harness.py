@@ -218,6 +218,28 @@ class TestTrain:
             if recs_sa[0].accepted:
                 np.testing.assert_array_equal(w_sa, w_dp)
 
+    @pytest.mark.parametrize("synth_n", [200, 15_000])   # both of numpy's subset regimes
+    def test_methods_draw_the_same_lots(self, monkeypatch, synth_n):
+        # the sample stream feeds poisson_sample alone, so its lots depend on
+        # (n, q) and the seed, never on which candidates were applied
+        cfg = dataclasses.replace(LINREG_CFG, synth_n=synth_n, lot_size=20, sigma=50.0,
+                                  max_iters=100, q0=5.0, mu0=3)
+        poisson_sample, lots = data.poisson_sample, {}
+
+        def recorded(n, q, rng):
+            lots[method].append(poisson_sample(n, q, rng))
+            return lots[method][-1]
+
+        monkeypatch.setattr(data, "poisson_sample", recorded)
+        for method in ("sa_dpsgd", "dpsgd"):
+            lots[method] = []
+            _, _, records, _ = train(dataclasses.replace(cfg, method=method))
+            if method == "sa_dpsgd":
+                assert not all(r.accepted for r in records)   # the parameters part ways
+        assert len(lots["sa_dpsgd"]) == len(lots["dpsgd"]) == cfg.max_iters
+        for sa, dp in zip(lots["sa_dpsgd"], lots["dpsgd"]):
+            np.testing.assert_array_equal(sa, dp)
+
     def test_dpsgd_charges_and_accepts_every_iteration(self):
         cfg = dataclasses.replace(LINREG_CFG, method="dpsgd", max_iters=50)
         _, _, records, _ = train(cfg)
