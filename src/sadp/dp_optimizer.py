@@ -1,13 +1,6 @@
-"""Privatized gradient pipeline: per-example clipping, Gaussian noising
-of the summed gradient, and the plain SGD update.
-
-Training never materializes per-example gradients. A dense layer's factors
-are its input H (fan_in + 1, n), whose last row of ones carries the bias,
-and its output gradient D (fan_out, n); example i's [W; b] gradient
-outer(H[:, i], D[:, i]) has squared norm |H[:, i]|^2 |D[:, i]|^2, and the
-clipped sum H (D * s).T is the layer's (fan_in + 1, fan_out) slice of the
-packed vector, weights then biases.
-"""
+"""Privatized gradient pipeline: the per-example clip rule, whose scale
+models.clipped_grad_sum applies, Gaussian noising of the summed gradient,
+and the plain SGD update."""
 
 from __future__ import annotations
 
@@ -15,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
 from .errors import SadpError
 
 
@@ -40,38 +32,13 @@ class ClipPolicy:
         if self.kind == "auto_s" and self.gamma <= 0:
             raise SadpError("gamma must be > 0 for auto_s")
 
-
-def _clip_scale(norms, policy: ClipPolicy):
-    """Per-example factors that bound gradients of l2 norm `norms`; an
-    overflowing (infinite) norm gets scale 0."""
-    if policy.kind == "abadi":
-        return 1.0 / np.maximum(1.0, norms / policy.clip_norm)
-    # auto_s: zero maps to zero since the scale is finite
-    return policy.clip_norm / (norms + policy.gamma)
-
-
-def clipped_grad_sum(spec, w, X, y, policy: ClipPolicy) -> np.ndarray:
-    """Sum of a batch's clipped per-example gradients, shape (n_params,), for
-    row-major features X (uint8 pixel rows are widened) and targets y.
-
-    Equals the row sum of tests/oracles.py's materialized reference, clip_batch
-    over per_example_losses_grads, up to float summation order; an empty batch
-    sums to zeros. A non-finite factor entry makes its example's norm
-    non-finite, so the factors are scanned only then. Finite factors whose norm
-    overflows get scale 0, but a layer whose output gradient is exactly 0 adds 0.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):   # inf * 0 is checked below
-        factors = models._backprop(spec, w, models.to_batch(spec, X, y))
-        parts = [(np.einsum("ij,ij->j", h, h), np.einsum("ij,ij->j", d, d)) for h, d in factors]
-        sq_norms = sum(h_sq * d_sq for h_sq, d_sq in parts)
-        if not np.isfinite(sq_norms).all():
-            if not all(np.isfinite(a).all() for layer in factors for a in layer):
-                raise SadpError("layer inputs or gradients have non-finite entries")
-            # finite factors: an overflowing input norm times an output
-            # gradient of exactly zero is a layer gradient of exactly zero
-            sq_norms = sum(np.where(d_sq == 0.0, 0.0, h_sq * d_sq) for h_sq, d_sq in parts)
-    scale = _clip_scale(np.sqrt(sq_norms), policy)
-    return np.concatenate([(h @ (delta * scale).T).ravel() for h, delta in factors])
+    def scale(self, norms):
+        """Per-example factors that bound gradients of l2 norm `norms`; an
+        overflowing (infinite) norm gets scale 0."""
+        if self.kind == "abadi":
+            return 1.0 / np.maximum(1.0, norms / self.clip_norm)
+        # auto_s: zero maps to zero since the scale is finite
+        return self.clip_norm / (norms + self.gamma)
 
 
 def noisy_average(

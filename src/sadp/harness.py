@@ -277,9 +277,8 @@ def train(config: TrainConfig):
     while t < config.max_iters and (max_charged is None or tau < max_charged):
         t += 1
         rows = train_rows[data.poisson_sample(len(train_rows), acct.q, sample_rng)]
-        clipped_sum = dp_optimizer.clipped_grad_sum(
-            spec, w, dataset.features[rows], dataset.labels[rows], clip_policy
-        )
+        lot = models.to_batch(spec, dataset.features[rows], dataset.labels[rows])
+        clipped_sum = models.clipped_grad_sum(spec, w, lot, clip_policy.scale)
         g_tilde = dp_optimizer.noisy_average(clipped_sum, noise_std, config.lot_size, noise_rng)
         # overflow surfaces as non-finite parameters (evaluate raises) or a
         # non-finite energy (rejected, or raised below once applied)

@@ -11,9 +11,12 @@ a C-contiguous (fan_in + 1, n) matrix whose last row is ones, so a layer is
 one GEMM [W; b].T @ [h; 1]. A Batch holds the first such input (built by
 to_batch) with the labels' gather index. The forward pass runs in the
 Batch's dtype: float64, except an IDX run's energy evaluation (pixels in
-[0, 1]): float32 GEMMs under a float64 loss. Backprop yields each layer's
-input and output gradient; the outer product of their i-th columns is
-example i's [W; b] gradient.
+[0, 1]): float32 GEMMs under a float64 loss. Training never materializes
+per-example gradients: backprop yields a dense layer's factors, its input H
+(fan_in + 1, n), whose last row of ones carries the bias, and its output
+gradient D (fan_out, n); example i's [W; b] gradient outer(H[:, i], D[:, i])
+has squared norm |H[:, i]|^2 |D[:, i]|^2, and the clipped sum H (D * s).T is
+the layer's (fan_in + 1, fan_out) slice of the packed vector, weights then biases.
 """
 
 from __future__ import annotations
@@ -174,10 +177,9 @@ def _losses(spec: ModelSpec, out: np.ndarray, batch: Batch):
 
 
 def _backprop(spec: ModelSpec, w: np.ndarray, batch: Batch):
-    """Per-layer factors [(h (fan_in + 1, n), delta (fan_out, n)), ...] in
-    packing order: example i's [W; b] gradient is outer(h[:, i], delta[:, i]),
-    the loss gradient of 0.5 * (pred - y)^2 for linear regression and of
-    softmax cross-entropy for classification."""
+    """Per-layer factors [(H, D), ...] in packing order (see above) of the
+    loss gradient of 0.5 * (pred - y)^2 for linear regression and of softmax
+    cross-entropy for classification."""
     out, inputs, layers = _forward(spec, w, batch.inputs)
     if spec.architecture == LINEAR_REGRESSION:
         delta = out - batch.targets                     # dL/d(out), (1, n)
@@ -198,6 +200,30 @@ def _backprop(spec: ModelSpec, w: np.ndarray, batch: Batch):
             delta = layers[i][:-1] @ delta
             delta *= 1.0 - a * a if spec.activation == BOUNDED_TANH else a > 0
     return factors
+
+
+def clipped_grad_sum(spec: ModelSpec, w: np.ndarray, batch: Batch, scale) -> np.ndarray:
+    """Sum of a Batch's clipped per-example gradients, shape (n_params,):
+    scale, a ClipPolicy's, maps the (n,) gradient l2 norms to clip factors.
+
+    Equals the row sum of tests/oracles.py's materialized reference, clip_batch
+    over per_example_losses_grads, up to float summation order; an empty batch
+    sums to zeros. A non-finite factor entry makes its example's norm
+    non-finite, so the factors are scanned only then. Finite factors whose norm
+    overflows get scale 0, but a layer whose output gradient is exactly 0 adds 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):   # inf * 0 is checked below
+        factors = _backprop(spec, w, batch)
+        parts = [(np.einsum("ij,ij->j", h, h), np.einsum("ij,ij->j", d, d)) for h, d in factors]
+        sq_norms = sum(h_sq * d_sq for h_sq, d_sq in parts)
+        if not np.isfinite(sq_norms).all():
+            if not all(np.isfinite(a).all() for layer in factors for a in layer):
+                raise SadpError("layer inputs or gradients have non-finite entries")
+            # finite factors: an overflowing input norm times an output
+            # gradient of exactly zero is a layer gradient of exactly zero
+            sq_norms = sum(np.where(d_sq == 0.0, 0.0, h_sq * d_sq) for h_sq, d_sq in parts)
+    s = scale(np.sqrt(sq_norms))
+    return np.concatenate([(h @ (delta * s).T).ravel() for h, delta in factors])
 
 
 def evaluate(spec: ModelSpec, w: np.ndarray, batch: Batch) -> tuple[float, float | None]:

@@ -1,6 +1,6 @@
 """Materialized reference implementations of the privatized step.
 
-Training never builds per-example gradients: dp_optimizer.clipped_grad_sum
+Training never builds per-example gradients: models.clipped_grad_sum
 sums the clipped gradients from each layer's factors. The tests check it
 against these two, which build the (n, n_params) gradient matrix and clip
 its rows one by one, out of the same private pieces sadp trains with.
@@ -9,7 +9,7 @@ its rows one by one, out of the same private pieces sadp trains with.
 import numpy as np
 
 from sadp import models
-from sadp.dp_optimizer import ClipPolicy, _clip_scale
+from sadp.dp_optimizer import ClipPolicy
 from sadp.errors import SadpError
 
 
@@ -17,7 +17,7 @@ def per_example_losses_grads(
     spec: models.ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Losses (n,) and gradients (n, n_params), one row per example: the
-    test oracle for dp_optimizer.clipped_grad_sum, which training uses."""
+    test oracle for models.clipped_grad_sum, which training uses."""
     batch = models.to_batch(spec, X, y)
     losses, _ = models._losses(spec, models._forward(spec, w, batch.inputs)[0], batch)
     return losses, np.hstack(
@@ -31,4 +31,4 @@ def clip_batch(grads: np.ndarray, policy: ClipPolicy) -> np.ndarray:
     grads = np.asarray(grads, dtype=np.float64)
     if not np.all(np.isfinite(grads)):
         raise SadpError("gradient batch has non-finite entries")
-    return grads * _clip_scale(np.linalg.norm(grads, axis=1), policy)[:, None]
+    return grads * policy.scale(np.linalg.norm(grads, axis=1))[:, None]

@@ -15,13 +15,15 @@ import numpy as np
 from sadp import data
 from sadp.accountant import AccountantState, max_steps_within, spend
 from sadp.annealer import decide
-from sadp.dp_optimizer import ClipPolicy, clipped_grad_sum
+from sadp.dp_optimizer import ClipPolicy
 from sadp.harness import TrainConfig, emit_trace, train
 from sadp.models import (
     BOUNDED_TANH,
     LINEAR_REGRESSION,
     ModelSpec,
+    clipped_grad_sum,
     init_params,
+    to_batch,
 )
 
 from oracles import clip_batch, per_example_losses_grads
@@ -117,7 +119,9 @@ def test_04_clipping_properties():
             x, y = g[None, :-1] / g[-1], -g[-1:]
             summed = {}
             for policy in (abadi, auto_s):
-                summed[policy.kind] = clipped_grad_sum(spec, np.zeros(dim), x, y, policy)
+                summed[policy.kind] = clipped_grad_sum(
+                    spec, np.zeros(dim), to_batch(spec, x, y), policy.scale
+                )
                 reference = clip_batch(g[None], policy)[0]
                 assert np.linalg.norm(summed[policy.kind] - reference) <= (
                     1e-12 * np.linalg.norm(reference)

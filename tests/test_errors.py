@@ -2,8 +2,9 @@
 `cli.main` maps to that code; sadp code raises no builtin exception and
 defines no exception class outside `sadp.errors`, and raises each message
 from one site. And guards against code only tests reach: every public
-function or class of sadp has a caller outside `tests/`, and every private
-module-level function has one inside `sadp`."""
+function or class of sadp has a caller outside `tests/`, every private
+module-level function has one inside `sadp`, and no module reads another's
+private names."""
 
 import ast
 import builtins
@@ -222,3 +223,43 @@ def test_every_private_function_has_a_caller_in_sadp():
     # a test's call does not count: the private names are sadp's own
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     assert uncalled_private_functions(sources) == []
+
+
+def sibling_private_reads(source: str) -> list[str]:
+    """`module._name` for each private name a module reads from a sibling it
+    imports relatively: `from .models import _backprop`, or `models._backprop`
+    after `from . import models` (an alias is traced to its module)."""
+    tree = ast.parse(source)
+    siblings, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    reads.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id in siblings
+        ):
+            reads.append(f"{siblings[node.value.id]}.{node.attr}")
+    return sorted(reads)
+
+
+def test_guard_finds_sibling_private_reads():
+    source = (
+        "from __future__ import annotations\n"
+        "from . import data, models as m\n"
+        "from .accountant import _grid, spend\n"
+        "def f(w, x):\n    return m._backprop(w), data.poisson_sample(1), x._cache, np._NoValue\n"
+        "def _own(): return f\n"
+    )
+    assert sibling_private_reads(source) == ["accountant._grid", "models._backprop"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name is its module's own format: a second reader is a
+    # second module that must change with it
+    reads = {path.name: sibling_private_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: r for name, r in reads.items() if r} == {}
