@@ -2,7 +2,8 @@
 
 One curve holds the per-step RDP cost at every integer order of the grid,
 from the moment sum of the subsampled Gaussian, summed in the log domain
-with numpy alone: exact log-binomials and a max-shifted log-sum-exp.
+with numpy alone: exact log-binomials and np.logaddexp.reduce. At q = 1 the
+mechanism is the plain Gaussian and the curve its closed form.
 Charged iterations compose linearly, so after tau steps epsilon = min over
 orders of conv(tau * rdp_alpha, delta), where conv is one of the two
 RDP-to-DP conversions. Each conversion adds an order-dependent tail, so the
@@ -39,24 +40,12 @@ _LOG_BINOMIALS = _log_binomials(DEFAULT_ALPHA_GRID)
 _LOG_BINOMIALS.flags.writeable = False
 
 
-def _logsumexp_down(terms: np.ndarray) -> np.ndarray:
-    """log of the sum of exp(terms) down axis 0, as scipy.special.logsumexp
-    takes it: each column's largest terms come out of the sum, the rest is
-    summed relative to them and added back with log1p, plus the log of the
-    count of maxima. A column whose largest term is infinite sums to it."""
-    top = terms.max(axis=0)
-    is_top = terms == top
-    count = is_top.sum(axis=0)
-    with np.errstate(invalid="ignore"):       # inf - inf in an infinite column
-        rest = np.exp(np.where(is_top, -np.inf, terms) - top).sum(axis=0) / count
-    return np.where(np.isfinite(top), np.log1p(rest) + np.log(count) + top, top)
-
-
 def _rdp_curve(q: float, sigma: float) -> np.ndarray:
     """Per-step RDP epsilon of the subsampled Gaussian at each order of
     DEFAULT_ALPHA_GRID, for q in (0, 1].
 
-    The moment sum
+    At q = 1 the mechanism is the Gaussian itself, whose RDP is alpha/(2 sigma^2).
+    Below it the moment sum
 
         A_alpha = sum_{k=0}^{alpha} C(alpha,k) (1-q)^(alpha-k) q^k exp((k^2-k)/(2 sigma^2))
 
@@ -65,30 +54,30 @@ def _rdp_curve(q: float, sigma: float) -> np.ndarray:
 
         A_alpha - 1 = sum_{k>=2} C(alpha,k) (1-q)^(alpha-k) q^k expm1((k^2-k)/(2 sigma^2)),
 
-    one log-sum-exp down the k axis of a (63, 63) array whose entries with
-    k > alpha are -inf. The log domain keeps the result finite for large
-    alpha and small sigma, and the log1p form keeps full relative precision
-    at small q. The log-binomials are exact (from integer binomials), read
-    from a table built at import. What is left is the rounding of each
-    term's exponent, about an ulp of its largest piece: where k log q and the
-    Gaussian exponent nearly cancel, the relative error reaches a few 1e-14.
+    summed by np.logaddexp.reduce down the k axis of a (63, 63) array whose
+    entries with k > alpha are -inf. The log domain keeps the result finite
+    for large alpha and small sigma, and the log1p form keeps full relative
+    precision at small q. The log-binomials are exact (from integer
+    binomials), read from a table built at import. What is left is the
+    rounding of each term's exponent, about an ulp of its largest piece:
+    where k log q and the Gaussian exponent nearly cancel, the relative
+    error reaches a few 1e-14.
     """
     alpha = _ALPHAS
+    if q == 1.0:
+        # inf where 2 sigma^2 underflows, 0 where it overflows
+        with np.errstate(over="ignore", divide="ignore"):
+            return alpha / (2.0 * sigma * sigma)
     k = np.arange(2, alpha.max() + 1)[:, None]
-    log_q = math.log(q) if q < 1.0 else 0.0
-    log_1mq = math.log1p(-q) if q < 1.0 else -math.inf
-    # 0 * -inf would poison the k=alpha term, k > alpha has no term, nor at
-    # q = 1 has k < alpha (-inf + inf): mask them (c underflows to 0 only at
-    # huge sigma, and overflows to inf at tiny sigma, where the curve is inf)
+    # c underflows to 0 only at huge sigma (the curve is 0) and overflows to
+    # inf at tiny sigma (the curve is inf, and k > alpha reads -inf + inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = (k * k - k) / (2.0 * sigma * sigma)
         terms = (
-            _LOG_BINOMIALS
-            + np.where(k == alpha, 0.0, (alpha - k) * log_1mq)
-            + k * log_q
+            _LOG_BINOMIALS + (alpha - k) * math.log1p(-q) + k * math.log(q)
             + c + np.log(-np.expm1(-c))      # log expm1(c), without overflow
         )
-    log_a_minus_1 = _logsumexp_down(np.where(k <= alpha if q < 1.0 else k == alpha, terms, -np.inf))
+    log_a_minus_1 = np.logaddexp.reduce(np.where(k <= alpha, terms, -np.inf), axis=0)
     return np.logaddexp(0.0, log_a_minus_1) / (alpha - 1)
 
 

@@ -86,13 +86,13 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise SadpError(f"{name} must be >= 1")
         if self.synth_noise_std < 0:
-            raise SadpError("noise_std must be >= 0")
+            raise SadpError("synth_noise_std must be >= 0")
         if self.seed < 0 or self.synth_seed < 0:
             raise SadpError("seed and synth_seed must be >= 0")
         if not 0.0 < self.eval_fraction < 1.0:
             raise SadpError("eval_fraction must be in (0, 1)")
         if self.q0 <= 0:
-            raise SadpError("Q0 must be > 0")
+            raise SadpError("q0 must be > 0")
         if self.mu0 < 1:
             raise SadpError("mu0 must be >= 1")
         # the types a run builds hold their own rules: each raises SadpError
@@ -222,18 +222,17 @@ def _prepare(config: TrainConfig):
         raise SadpError(f"lot_size {config.lot_size} exceeds the {len(train_rows)} training rows")
     if dataset.dim < 1:
         raise SadpError("the dataset has no feature columns")
-    if config.model == models.LINEAR_REGRESSION:
-        spec = models.ModelSpec(models.LINEAR_REGRESSION, dataset.dim, 1)
-    else:
-        spec = models.ModelSpec(
-            config.model, dataset.dim, int(dataset.labels.max()) + 1,
-            layer_widths=tuple(config.layer_widths), activation=config.activation,
-        )
-        for labels in (dataset.labels, None if test is None else test.labels):
-            if labels is not None and np.any((labels < 0) | (labels >= spec.output_dim)):
-                raise SadpError(
-                    f"class labels must lie in [0, {spec.output_dim}), the training data's range"
-                )
+    regression = config.model == models.LINEAR_REGRESSION
+    classes = 1 if regression else int(dataset.labels.max()) + 1
+    for labels in () if regression else (dataset.labels, None if test is None else test.labels):
+        if labels is not None and np.any((labels < 0) | (labels >= classes)):
+            raise SadpError(
+                f"class labels must lie in [0, {max(classes, 0)}), the training data's range"
+            )
+    spec = models.ModelSpec(
+        config.model, dataset.dim, classes,
+        layer_widths=tuple(config.layer_widths), activation=config.activation,
+    )
     q, budget = config.lot_size / len(train_rows), config.eps_budget
     acct = accountant.AccountantState(q, config.sigma, config.delta, config.tight_conversion)
     max_charged = None if budget is None else accountant.max_steps_within(acct, budget)

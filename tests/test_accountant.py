@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sadp import accountant
 from sadp.accountant import (
     DEFAULT_ALPHA_GRID,
     AccountantState,
@@ -85,9 +84,33 @@ class TestRdpCurve:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("alpha", [2, 3, 17, 64])
     def test_analytic_limit_across_orders(self, sigma, alpha):
-        assert AccountantState(1.0, sigma, 1e-5).rdp[alpha - 2] == pytest.approx(
-            alpha / (2 * sigma**2), abs=1e-9
-        )
+        assert AccountantState(1.0, sigma, 1e-5).rdp[alpha - 2] == alpha / (2 * sigma**2)
+
+    def test_full_sampling_is_the_gaussian_closed_form_bit_for_bit(self):
+        for sigma in np.geomspace(1e-3, 1e3, 61):
+            want = [alpha / (2 * float(sigma) ** 2) for alpha in DEFAULT_ALPHA_GRID]
+            assert list(AccountantState(1.0, float(sigma), 1e-5).rdp) == want, sigma
+
+    @pytest.mark.parametrize("q", [1e-3, 0.5, 1.0])
+    def test_huge_sigma_costs_nothing_and_tiny_sigma_everything(self, q):
+        # RuntimeWarnings are errors under pytest: neither end may warn
+        assert not AccountantState(q, 1e200, 1e-5).rdp.any()
+        assert np.all(AccountantState(q, 1e-300, 1e-5).rdp == math.inf)
+        # at 1e-154, 1/sigma^2 is 1e308: alpha = 2 costs that, and more orders overflow
+        assert np.all(AccountantState(q, 1e-154, 1e-5).rdp >= 1e308)
+
+    def test_seeded_sweep_within_the_oracle_bound(self):
+        # (1.13e-3, 2.0) is where k log q and the Gaussian exponent nearly
+        # cancel, and the error is largest relative to an ulp
+        rnd = np.random.default_rng(32)
+        points = [(1.13e-3, 2.0)] + [
+            (float(10 ** rnd.uniform(-4, -0.05)), float(10 ** rnd.uniform(-0.4, 1))) for _ in range(7)
+        ]
+        for q, sigma in points:
+            got = AccountantState(q, sigma, 1e-5).rdp
+            for alpha in (2, 5, 16, 33, 64):
+                expected, bound = _mpmath_rdp(q, sigma, alpha)
+                assert abs(got[alpha - 2] - expected) <= bound * expected, (q, sigma, alpha)
 
     def test_nondecreasing_in_q(self):
         qs = [0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0]
@@ -109,13 +132,6 @@ class TestRdpCurve:
     def test_rejects_bad_parameters(self, q, sigma):
         with pytest.raises(SadpError, match=r"\b(q|sigma)=\S+ must be"):
             AccountantState(q, sigma, 1e-5)
-
-
-def test_log_sum_exp_counts_tied_maxima_and_keeps_infinite_columns():
-    terms = np.array([[0.0, 1.0, -np.inf], [0.0, -np.inf, -np.inf], [-1.0, 1.0, -np.inf]])
-    got = accountant._logsumexp_down(terms)
-    np.testing.assert_allclose(got[:2], [math.log(2 + math.exp(-1)), 1 + math.log(2)], rtol=1e-15)
-    assert got[2] == -np.inf
 
 
 def standard_conversion(alpha, rdp_eps, delta):

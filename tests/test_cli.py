@@ -190,6 +190,18 @@ def test_negative_csv_label_exits_2(tmp_path, capsys):
     assert "labels" in err
 
 
+@pytest.mark.parametrize("labels", [(-1, -1), (-1, -2)])
+def test_all_negative_csv_labels_exit_2_naming_the_labels(tmp_path, capsys, labels):
+    # the label range is checked before the model is shaped from it
+    rows = [f"{i % 3}.0,{(i * 7) % 5}.0,{labels[i % 2]}" for i in range(40)]
+    (tmp_path / "data.csv").write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, LABELED_CFG + f"dataset = csv\ncsv_path = {tmp_path / 'data.csv'}\n")
+    err = assert_exits_2_without_traceback(
+        capsys, ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+    assert "class labels must lie in [0, 0)" in err
+
+
 def test_test_label_beyond_train_classes_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(0)
     paths = {}

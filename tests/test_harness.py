@@ -65,12 +65,12 @@ BAD_CONFIGS = {
     "clip_kind = foo": r"^unknown clip kind 'foo'$",
     "activation = relu": r"^unknown activation 'relu'$",
     "delta = 1.5": r"^delta=1.5 must be in \(0, 1\)$",
-    "q0 = 0": r"^Q0 must be > 0$",
+    "q0 = 0": r"^q0 must be > 0$",
     "mu0 = 0": r"^mu0 must be >= 1$",
     "sigma = 1e-200\nclip_norm = 1e-200": r"^sigma \* clip_norm = 0.0 must be > 0$",
     # rules of the data settings, decided by the config alone: no file is opened
     "dataset = synth_linear": r"^regression targets require model=linear_regression$",
-    "synth_noise_std = -0.1": r"^noise_std must be >= 0$",
+    "synth_noise_std = -0.1": r"^synth_noise_std must be >= 0$",
     **{
         text: rf"^{re.escape(text.splitlines()[0])} needs {key}, which is not set$"
         for text, key in UNSET_PATHS.values()
@@ -162,7 +162,7 @@ class TestConfigParsing:
         for change, message in [
             ({"eta": -1.0}, r"^eta must be > 0$"),
             ({"max_iters": 0}, r"^max_iters must be >= 1$"),
-            ({"mu0": 0, "q0": -5.0}, r"^Q0 must be > 0$"),
+            ({"mu0": 0, "q0": -5.0}, r"^q0 must be > 0$"),
             ({"dataset": "csv"}, r"^dataset = csv needs csv_path, which is not set$"),
         ]:
             with pytest.raises(SadpError, match=message):
